@@ -9,8 +9,6 @@ an asserted asymptotic constant.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -18,27 +16,10 @@ import numpy as np
 from .bessel import bessel_k, weighted_cosh_integral
 from .evolution import Trajectory
 from .fitting import best_model, fit_decay
-from .lattice import LatticeField, boundary_mass_fraction, log_abs_sq, ring_mass
-from .logscalar import NEG_INF, LogScalar, tree_logsumexp
+from .lattice import (LatticeField, boundary_mass_fraction, log_abs_sq,
+                      radial_log_sums, ring_masses)
+from .logscalar import NEG_INF, LogScalar, logsumexp
 from .operators import log_sinh
-
-
-def worker_count() -> int:
-    env = os.environ.get("CARLEMAN_THREADS", "")
-    if env.strip():
-        return max(1, int(env))
-    return min(4, os.cpu_count() or 1)
-
-
-def ordered_map(fn, items):
-    """Parallel map whose output order and per-item arithmetic are identical
-    at any worker count; results merge by index."""
-    n = worker_count()
-    items = list(items)
-    if n == 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
 
 
 @dataclass(frozen=True)
@@ -87,25 +68,18 @@ def lambda_scan(source, cfg: ExperimentConfig) -> dict:
     stationary LatticeField.  Row columns follow the TSV contract
     (R, log_lambda, alpha, log_lhs_growth, pass_absorption, boundary_mass).
     """
+    window = source.window
     if isinstance(source, Trajectory):
-        window = source.window
-        time_w = source.time_weights()
         bmass = source.boundary_mass()
-
-        def lam_of(R):
-            return ring_mass(source, R, time_weights=time_w)
+        lams = ring_masses(source, cfg.R_list, time_weights=source.time_weights())
     else:
-        window = source.window
         bmass = boundary_mass_fraction(source.values, window)
-
-        def lam_of(R):
-            return ring_mass(source, R)
+        lams = ring_masses(source, cfg.R_list)
 
     d = window.d
     c = cfg.c_rule
 
-    def make_row(R):
-        lam = lam_of(R)
+    def make_row(R, lam):
         alpha = c * R * math.log(R)
         log_growth = growth_factor_log(c, R, d)
         # absorption of the A-term: the e^{alpha(2+1/R)^2} scale cancels, so
@@ -126,7 +100,7 @@ def lambda_scan(source, cfg: ExperimentConfig) -> dict:
             log_term_A=(w_in + math.log(cfg.A)) if cfg.A > 0 else NEG_INF,
         )
 
-    rows = ordered_map(make_row, cfg.R_list)
+    rows = [make_row(R, lam) for R, lam in zip(cfg.R_list, lams)]
     fit_rows = [(r.R, LogScalar.from_log(r.log_lambda)) for r in rows if r.log_lambda != NEG_INF]
     fits = best_model(fit_rows) if len(fit_rows) >= 3 else None
     out = {"rows": rows, "boundary_mass": bmass, "c_rule": c, "d": d}
@@ -143,22 +117,23 @@ def lambda_scan(source, cfg: ExperimentConfig) -> dict:
     return out
 
 
-def _star_norm_log_weights(window, mu_prime: float) -> np.ndarray:
-    """log of e^{2 mu' |j| log(|j|+1)} per site (Euclidean |j|)."""
-    r = np.sqrt(window.radius_sq)
-    return 2.0 * mu_prime * r * np.log(r + 1.0)
-
-
 def _interior_indices(traj: Trajectory, n_times: int = 9) -> list:
     targets = np.linspace(0.1, 0.9, n_times)
     return [int(np.argmin(np.abs(traj.times - t))) for t in targets]
 
 
-def _directional_log_weights(window, beta: np.ndarray) -> np.ndarray:
-    out = np.zeros(window.shape)
-    for k in range(window.d):
-        out = out + 2.0 * float(beta[k]) * window.coordinate(k)
-    return out
+def _directional_log_sums(log_mass: np.ndarray, axis_values: np.ndarray, betas_per_axis) -> np.ndarray:
+    """log sum_j e^{2 beta.j + log_mass_j} for every beta in the product of the
+    per-axis beta values; shape (len(betas_per_axis[0]), ..., len(betas_per_axis[d-1])).
+
+    The weight separates by coordinate, so the sum is contracted one axis at
+    a time, each a max-shifted log-sum-exp over that axis for every beta_k.
+    """
+    x = log_mass
+    for b in betas_per_axis:
+        x = np.moveaxis(x, 0, -1)  # next uncontracted axis last
+        x = logsumexp(x[..., None, :] + 2.0 * np.asarray(b)[:, None] * axis_values, axis=-1)
+    return x
 
 
 def log_convexity_check(traj: Trajectory, beta_list, cfg: ExperimentConfig,
@@ -169,19 +144,20 @@ def log_convexity_check(traj: Trajectory, beta_list, cfg: ExperimentConfig,
     uniformly in beta."""
     window = traj.window
     idxs = _interior_indices(traj, n_times)
-    l0 = log_abs_sq(traj.values[0])
-    l1 = log_abs_sq(traj.values[-1])
-    rows = []
-    max_log_rho = -math.inf
-    for beta in beta_list:
-        beta = np.atleast_1d(np.asarray(beta, dtype=float))
-        w = _directional_log_weights(window, beta)
-        den = tree_logsumexp(np.concatenate([(w + l0).ravel(), (w + l1).ravel()]))
-        for i in idxs:
-            num = tree_logsumexp(w + log_abs_sq(traj.values[i]))
-            log_rho = num - den
-            rows.append({"beta": beta.tolist(), "t": float(traj.times[i]), "log_rho": log_rho})
-            max_log_rho = max(max_log_rho, log_rho)
+    betas = [np.atleast_1d(np.asarray(b, dtype=float)) for b in beta_list]
+    betas = np.array(betas).reshape(len(betas), window.d)
+    per_axis = [np.unique(betas[:, k], return_inverse=True) for k in range(window.d)]
+    values = [v for v, _ in per_axis]
+    pick = tuple(inv for _, inv in per_axis)
+
+    def log_sums(i):
+        return _directional_log_sums(log_abs_sq(traj.values[i]), window.axes, values)[pick]
+
+    den = np.logaddexp(log_sums(0), log_sums(-1))
+    log_rho = [log_sums(i) - den for i in idxs]
+    rows = [{"beta": beta.tolist(), "t": float(traj.times[i]), "log_rho": float(lr[b])}
+            for b, beta in enumerate(betas) for i, lr in zip(idxs, log_rho)]
+    max_log_rho = max((r["log_rho"] for r in rows), default=-math.inf)
     out = {"rows": rows, "max_log_rho": max_log_rho,
            "max_rho_minus_one": math.expm1(max_log_rho),
            "boundary_mass": traj.boundary_mass()}
@@ -210,8 +186,9 @@ def log_convexity_stability(traj: Trajectory, beta_max: float, cfg: ExperimentCo
     two = log_convexity_check(traj, beta_grid(2.0 * beta_max, traj.window.d), cfg, n_times)
     c1, c2 = one["C_emp"], two["C_emp"]
     rel = abs(c2 - c1) / max(abs(c1), 1e-300)
+    # with C_emp <= 0 no ratio exceeds 1, so the relative change says nothing
     return {"C_emp_base": c1, "C_emp_doubled": c2, "relative_change": rel,
-            "stable": rel < 0.2}
+            "stable": rel < 0.2, "vacuous": c1 <= 0}
 
 
 def synthetic_star_decay_field(window, mu: float) -> LatticeField:
@@ -234,26 +211,20 @@ def weighted_uniqueness_threshold(traj_or_none, cfg: ExperimentConfig, window=No
         return {"contradiction": False,
                 "reason": "decay hypothesis unmet (mu = 0 gives no decay beyond ell^2)"}
     if traj_or_none is None:
-        field = synthetic_star_decay_field(window, cfg.mu)
-        scan = lambda_scan(field, cfg)
-        fit = scan["fits"]["R_logR"]
-        return {"mode": "synthetic", "c_low_fit": fit.exponent_constant,
-                "mu": cfg.mu, "scan": scan}
-    traj = traj_or_none
-    scan = lambda_scan(traj, cfg)
-    fit = scan["fits"]["R_logR"]
-    c_low = fit.exponent_constant
+        scan = lambda_scan(synthetic_star_decay_field(window, cfg.mu), cfg)
+    else:
+        scan = lambda_scan(traj_or_none, cfg)
+    if scan.get("vacuous"):
+        return {"vacuous": True, "mu": cfg.mu, "scan": scan,
+                "reason": "fewer than three nonempty rings: no decay constant to fit"}
+    c_low = scan["fits"]["R_logR"].exponent_constant
+    if traj_or_none is None:
+        return {"mode": "synthetic", "c_low_fit": c_low, "mu": cfg.mu, "scan": scan}
     # largest mu' <= mu whose weighted two-endpoint ratio stays bounded
-    idxs = _interior_indices(traj)
-    l0 = log_abs_sq(traj.values[0])
-    l1 = log_abs_sq(traj.values[-1])
     tol = cfg.tolerances.get("weighted_ratio", math.log(2.0) if cfg.L == 0 else cfg.L * 10.0)
-    mu_ok = 0.0
     grid = np.linspace(cfg.mu / 16.0, cfg.mu, 16)
-    for mu_p in grid:
-        w = _star_norm_log_weights(traj.window, float(mu_p))
-        den = tree_logsumexp(np.concatenate([(w + l0).ravel(), (w + l1).ravel()]))
-        sup_log_rho = max(tree_logsumexp(w + log_abs_sq(traj.values[i])) - den for i in idxs)
+    mu_ok = 0.0
+    for mu_p, sup_log_rho in zip(grid, star_weight_sup_log_rho(traj_or_none, grid)):
         if sup_log_rho <= tol:
             mu_ok = float(mu_p)
     c0_emp = mu_ok / cfg.mu
@@ -261,6 +232,24 @@ def weighted_uniqueness_threshold(traj_or_none, cfg: ExperimentConfig, window=No
            "c0_emp": c0_emp, "scan": scan}
     out["critical_ratio"] = c_low / (cfg.mu * c0_emp) if c0_emp > 0 else math.inf
     return out
+
+
+def star_weight_sup_log_rho(traj: Trajectory, mu_grid) -> np.ndarray:
+    """Per mu' in mu_grid, the sup over interior stored times of
+    log( sum w |u(t)|^2 / sum w (|u(0)|^2 + |u(1)|^2) ), w = e^{2 mu' |j| log(|j|+1)}.
+
+    The weight is radial, so each snapshot is reduced once to its |j|^2 bins.
+    """
+    window = traj.window
+    r_sq, first = radial_log_sums(window, log_abs_sq(traj.values[0]))
+    _, last = radial_log_sums(window, log_abs_sq(traj.values[-1]))
+    inner = np.array([radial_log_sums(window, log_abs_sq(traj.values[i]))[1]
+                      for i in _interior_indices(traj)])
+    r = np.sqrt(r_sq)
+    w = 2.0 * np.asarray(mu_grid, dtype=float)[:, None] * r * np.log(r + 1.0)
+    den = logsumexp(w + np.logaddexp(first, last))
+    num = logsumexp(w[:, None, :] + inner)
+    return np.max(num - den[:, None], axis=1)
 
 
 def norm_star_equivalence(d: int, j_max: int) -> dict:

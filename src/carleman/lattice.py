@@ -9,7 +9,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import RingOutsideWindowError
-from .logscalar import NEG_INF, LogScalar, tree_logsumexp
+from .logscalar import NEG_INF, LogScalar, logsumexp, tree_logsumexp
 
 _LOG_FLOOR = -745.0  # below exp() underflow; stands in for log(0) in arrays
 
@@ -55,6 +55,16 @@ class LatticeWindow:
         for k in range(self.d):
             out = out + self.coordinate(k).astype(float) ** 2
         return out
+
+    @cached_property
+    def radial_bins(self) -> tuple:
+        """Sites grouped by integer |j|^2: (flat site order sorted by |j|^2,
+        the distinct |j|^2 values, the start of each group in that order, the
+        group sizes)."""
+        r_sq = self.radius_sq.ravel()
+        order = np.argsort(r_sq, kind="stable")
+        values, starts, counts = np.unique(r_sq[order], return_index=True, return_counts=True)
+        return order, values, starts, counts
 
     def index_of(self, j) -> tuple:
         return tuple(int(jk) + self.M for jk in np.atleast_1d(j))
@@ -172,33 +182,54 @@ def weighted_l2(u, log_weights, time_rule=None) -> LogScalar:
     return LogScalar.from_log(0.5 * total) if total != NEG_INF else LogScalar.zero()
 
 
-def ring_mask(window: LatticeWindow, R: float) -> np.ndarray:
-    """Sites with R-2 <= |j| <= R+1 (Euclidean norm)."""
-    if R + 1 >= window.M:
-        raise RingOutsideWindowError(f"ring R={R} needs R+1 < M={window.M}")
-    r_sq = window.radius_sq
-    return ((R - 2) ** 2 <= r_sq) & (r_sq <= (R + 1) ** 2)
+def radial_log_sums(window: LatticeWindow, log_mass: np.ndarray) -> tuple:
+    """One max-shifted log-sum of log_mass per integer |j|^2 bin.
+
+    Returns (r_sq, bin_logs): the distinct |j|^2 values in increasing order and
+    log of the summed e^{log_mass} over the sites of each; -inf for a bin with
+    no mass.
+    """
+    order, r_sq, starts, counts = window.radial_bins
+    x = log_mass.ravel()[order]
+    top = np.maximum.reduceat(x, starts)
+    shift = np.where(np.isfinite(top), top, 0.0)
+    sums = np.add.reduceat(np.exp(x - np.repeat(shift, counts)), starts)
+    with np.errstate(divide="ignore"):
+        return r_sq, shift + np.log(sums)
 
 
-def ring_mass(u, R: float, time_weights: np.ndarray | None = None) -> LogScalar:
-    """lambda(R): ell^2 mass on the ring, time-integrated for space-time input.
+def ring_masses(u, R_list, time_weights: np.ndarray | None = None) -> list:
+    """lambda(R) for every R in R_list: ell^2 mass on the ring
+    R-2 <= |j| <= R+1 (Euclidean), time-integrated for space-time input.
 
     u: LatticeField (stationary variant), or (Trajectory-like) object exposing
-    window and a values array with leading time axis plus time_weights.
+    window and a values array with leading time axis; time_weights then gives
+    the time integration weights.  Each snapshot is read once: its log-mass is
+    folded into a per-site time integral, which is summed per |j|^2 bin, and
+    each ring is a contiguous range of bins.
     """
+    window = u.window
+    for R in R_list:
+        if R + 1 >= window.M:
+            raise RingOutsideWindowError(f"ring R={R} needs R+1 < M={window.M}")
     if isinstance(u, LatticeField):
-        mask = ring_mask(u.window, R)
-        total = tree_logsumexp(log_abs_sq(u.values[mask]))
-        return LogScalar.from_log(0.5 * total) if total != NEG_INF else LogScalar.zero()
-    window, values = u.window, u.values
-    if time_weights is None:
-        raise ValueError("space-time ring_mass needs time integration weights")
-    mask = ring_mask(window, R)
-    per_node = np.array([tree_logsumexp(log_abs_sq(values[n][mask])) for n in range(values.shape[0])])
-    with np.errstate(divide="ignore"):
-        log_tw = np.log(time_weights)
-    total = tree_logsumexp(per_node + log_tw)
-    return LogScalar.from_log(0.5 * total) if total != NEG_INF else LogScalar.zero()
+        log_mass = log_abs_sq(u.values)
+    else:
+        if time_weights is None:
+            raise ValueError("space-time ring masses need time integration weights")
+        with np.errstate(divide="ignore"):
+            log_tw = np.log(time_weights)
+        log_mass = log_abs_sq(u.values[0]) + log_tw[0]
+        for n in range(1, len(log_tw)):
+            np.logaddexp(log_mass, log_abs_sq(u.values[n]) + log_tw[n], out=log_mass)
+    r_sq, bin_logs = radial_log_sums(window, log_mass)
+    out = []
+    for R in R_list:
+        lo = np.searchsorted(r_sq, (R - 2) ** 2, side="left")
+        hi = np.searchsorted(r_sq, (R + 1) ** 2, side="right")
+        total = float(logsumexp(bin_logs[lo:hi])) if hi > lo else NEG_INF
+        out.append(LogScalar.from_log(0.5 * total))
+    return out
 
 
 def boundary_mass_fraction(values: np.ndarray, window: LatticeWindow) -> float:

@@ -175,7 +175,7 @@ def tree_logsumexp(logs: np.ndarray | Sequence[float]) -> float:
     """log(sum(exp(logs))) for nonnegative terms via a pairwise tree.
 
     Deterministic: pads to a power of two with -inf and folds halves, so the
-    association pattern never depends on worker count or chunk size.
+    association pattern depends only on the number of terms.
     """
     x = np.asarray(logs, dtype=float).ravel()
     if x.size == 0:
@@ -186,3 +186,13 @@ def tree_logsumexp(logs: np.ndarray | Sequence[float]) -> float:
     while x.size > 1:
         x = np.logaddexp(x[0::2], x[1::2])
     return float(x[0])
+
+
+def logsumexp(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """log(sum(exp(x))) along a nonempty axis, shifted by the max along it;
+    -inf where every term is -inf."""
+    top = np.max(x, axis=axis, keepdims=True)
+    shift = np.where(np.isfinite(top), top, 0.0)
+    with np.errstate(divide="ignore"):
+        out = shift + np.log(np.sum(np.exp(x - shift), axis=axis, keepdims=True))
+    return np.squeeze(out, axis=axis)

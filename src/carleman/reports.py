@@ -4,7 +4,7 @@ manifests.
 Determinism contract: report and table contents never embed wall-clock data
 (timestamps live only in the manifest), floats are serialized via repr
 (shortest round-trip form), and JSON keys are sorted, so identical runs are
-byte-identical at any worker count.
+byte-identical.
 """
 
 from __future__ import annotations

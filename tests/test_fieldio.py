@@ -1,0 +1,23 @@
+import numpy as np
+
+from carleman.evolution import EvolutionConfig, evolve, make_decaying_datum
+from carleman.fieldio import read_trajectory, write_trajectory
+from carleman.lattice import LatticeWindow, Potential
+
+
+def test_write_read_trajectory_round_trip(tmp_path):
+    window = LatticeWindow(2, 6)
+    cfg = EvolutionConfig(dt=1e-2, T=0.1, window=window,
+                          potential=Potential.alternating(window), store_every=3)
+    traj = evolve(make_decaying_datum(window, ("bessel_like", 1.0)), cfg).scaled(0.5)
+    written = write_trajectory(tmp_path, traj, stem="run")
+    assert len(written) == 2 * traj.n_stored + 1
+    times, values, win, manifest = read_trajectory(tmp_path, stem="run")
+    assert win == window
+    assert np.array_equal(times, traj.times)
+    assert values.shape == traj.values.shape
+    assert np.array_equal(values, traj.values)
+    assert manifest["dt"] == cfg.dt and manifest["T"] == cfg.T
+    assert manifest["store_every"] == cfg.store_every
+    assert manifest["potential_sha256"] == cfg.potential_hash()
+    assert manifest["scale_log"] == traj.scale_log

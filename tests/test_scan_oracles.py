@@ -1,0 +1,191 @@
+"""The one-pass ring-mass, log-convexity and weighted-threshold scans against
+the direct per-R / per-beta / per-mu' loops they replace, kept here as
+oracles: every value must agree within 1e-12 in log."""
+
+import math
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from carleman.evolution import Trajectory
+from carleman.experiments import (ExperimentConfig, _interior_indices, log_convexity_check,
+                                  star_weight_sup_log_rho)
+from carleman.lattice import LatticeField, LatticeWindow, log_abs_sq, ring_masses
+from carleman.logscalar import NEG_INF, tree_logsumexp
+
+LOG_TOL = 1e-12
+
+
+# --- oracles: one full tree log-sum per ring, per (beta, t), per (mu', t) ---
+
+
+def oracle_ring_mask(window, R):
+    r_sq = window.radius_sq
+    return ((R - 2) ** 2 <= r_sq) & (r_sq <= (R + 1) ** 2)
+
+
+def oracle_ring_log_mass(u, R, time_weights=None):
+    """log lambda(R)^2: tree log-sum over the ring mask at each node, then
+    over nodes with the log time weights."""
+    mask = oracle_ring_mask(u.window, R)
+    if time_weights is None:
+        return tree_logsumexp(log_abs_sq(u.values[mask]))
+    per_node = np.array([tree_logsumexp(log_abs_sq(u.values[n][mask]))
+                         for n in range(u.values.shape[0])])
+    return tree_logsumexp(per_node + np.log(time_weights))
+
+
+def oracle_log_rho_rows(traj, beta_list, n_times=9):
+    window = traj.window
+    idxs = _interior_indices(traj, n_times)
+    l0 = log_abs_sq(traj.values[0])
+    l1 = log_abs_sq(traj.values[-1])
+    rows = []
+    for beta in beta_list:
+        beta = np.atleast_1d(np.asarray(beta, dtype=float))
+        w = np.zeros(window.shape)
+        for k in range(window.d):
+            w = w + 2.0 * float(beta[k]) * window.coordinate(k)
+        den = tree_logsumexp(np.concatenate([(w + l0).ravel(), (w + l1).ravel()]))
+        for i in idxs:
+            num = tree_logsumexp(w + log_abs_sq(traj.values[i]))
+            rows.append({"beta": beta.tolist(), "t": float(traj.times[i]), "log_rho": num - den})
+    return rows
+
+
+def oracle_star_sup_log_rho(traj, mu_grid):
+    window = traj.window
+    idxs = _interior_indices(traj)
+    l0 = log_abs_sq(traj.values[0])
+    l1 = log_abs_sq(traj.values[-1])
+    r = np.sqrt(window.radius_sq)
+    out = []
+    for mu_p in mu_grid:
+        w = 2.0 * float(mu_p) * r * np.log(r + 1.0)
+        den = tree_logsumexp(np.concatenate([(w + l0).ravel(), (w + l1).ravel()]))
+        out.append(max(tree_logsumexp(w + log_abs_sq(traj.values[i])) - den for i in idxs))
+    return np.array(out)
+
+
+# --- inputs ------------------------------------------------------------------
+
+
+def random_values(window, rng, n_time=None, zero_frac=0.1):
+    """Complex values whose magnitudes span hundreds of e-folds, with some
+    exact zeros."""
+    lead = () if n_time is None else (n_time,)
+    shape = lead + window.shape
+    log_mag = -rng.uniform(0.0, 370.0, size=shape)
+    phase = np.exp(2j * np.pi * rng.uniform(size=shape))
+    values = np.exp(log_mag) * phase
+    values[rng.uniform(size=shape) < zero_frac] = 0.0
+    return values
+
+
+def random_trajectory(window, rng, n_time=21):
+    values = random_values(window, rng, n_time)
+    times = np.linspace(0.0, 1.0, n_time)
+    return Trajectory(window, times, values, np.zeros(n_time), config=None)
+
+
+def assert_log_close(got, want):
+    if want == NEG_INF:
+        assert got == NEG_INF
+    else:
+        assert got == pytest.approx(want, abs=LOG_TOL, rel=0)
+
+
+# --- ring masses ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("d,M", [(1, 40), (2, 18)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_ring_masses_match_per_ring_loop_stationary(d, M, seed):
+    window = LatticeWindow(d, M)
+    field = LatticeField(window, random_values(window, np.random.default_rng(seed)))
+    R_list = (1.0, 2.5, 3.0, 7.0, 8.0, 11.5, float(M - 3))
+    for R, lam in zip(R_list, ring_masses(field, R_list)):
+        assert_log_close(2.0 * lam.log_mag, oracle_ring_log_mass(field, R))
+
+
+@pytest.mark.parametrize("d,M", [(1, 40), (2, 14)])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_ring_masses_match_per_ring_loop_space_time(d, M, seed):
+    rng = np.random.default_rng(10 + seed)
+    window = LatticeWindow(d, M)
+    u = SimpleNamespace(window=window, values=random_values(window, rng, n_time=13))
+    time_weights = rng.uniform(0.01, 1.0, size=13)
+    R_list = tuple(float(R) for R in range(3, M - 1))
+    for R, lam in zip(R_list, ring_masses(u, R_list, time_weights=time_weights)):
+        assert_log_close(2.0 * lam.log_mag, oracle_ring_log_mass(u, R, time_weights))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_ring_masses_empty_rings(d):
+    # mass only on |j| <= 2: rings with R - 2 > 2 are empty, the others are not
+    window = LatticeWindow(d, 16)
+    values = random_values(window, np.random.default_rng(3), zero_frac=0.0)
+    values[np.sqrt(window.radius_sq) > 2.0] = 0.0
+    field = LatticeField(window, values)
+    R_list = (2.0, 4.0, 4.5, 6.0, 10.0, 14.0)
+    lams = ring_masses(field, R_list)
+    for R, lam in zip(R_list, lams):
+        want = oracle_ring_log_mass(field, R)
+        assert lam.is_zero == (want == NEG_INF)
+        assert_log_close(2.0 * lam.log_mag, want)
+    assert [lam.is_zero for lam in lams] == [False, False, True, True, True, True]
+
+
+# --- log-convexity ---------------------------------------------------------------
+
+
+def ragged_betas(d, rng, n=23, beta_max=2.5):
+    """Random, non-grid beta lists with a few repeated per-axis values."""
+    betas = rng.uniform(-beta_max, beta_max, size=(n, d))
+    betas[::4, 0] = betas[0, 0]
+    betas[5] = 0.0
+    return [b for b in betas]
+
+
+@pytest.mark.parametrize("d,M", [(1, 30), (2, 12)])
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("beta_max", [2.5, 40.0])  # 40: e^{2 beta.j} overflows a double
+def test_log_convexity_matches_per_beta_loop(d, M, seed, beta_max):
+    rng = np.random.default_rng(20 + seed)
+    traj = random_trajectory(LatticeWindow(d, M), rng)
+    betas = ragged_betas(d, rng, beta_max=beta_max)
+    got = log_convexity_check(traj, betas, ExperimentConfig(L=1.0))
+    want = oracle_log_rho_rows(traj, betas)
+    assert [(r["beta"], r["t"]) for r in got["rows"]] == [(r["beta"], r["t"]) for r in want]
+    assert all(set(r) == {"beta", "t", "log_rho"} for r in got["rows"])
+    for g, w in zip(got["rows"], want):
+        assert_log_close(g["log_rho"], w["log_rho"])
+    assert_log_close(got["max_log_rho"], max(r["log_rho"] for r in want))
+
+
+def test_log_convexity_scalar_betas_d1():
+    rng = np.random.default_rng(30)
+    traj = random_trajectory(LatticeWindow(1, 20), rng)
+    betas = [-1.5, 0.25, 2.0]
+    got = log_convexity_check(traj, betas, ExperimentConfig())
+    want = oracle_log_rho_rows(traj, betas)
+    for g, w in zip(got["rows"], want):
+        assert g["beta"] == w["beta"]
+        assert_log_close(g["log_rho"], w["log_rho"])
+
+
+# --- weighted uniqueness threshold ------------------------------------------------
+
+
+@pytest.mark.parametrize("d,M", [(1, 30), (2, 12)])
+@pytest.mark.parametrize("mu", [3.0, 40.0])  # 40: the weight overflows a double
+def test_star_weight_sweep_matches_per_mu_loop(d, M, mu):
+    traj = random_trajectory(LatticeWindow(d, M), np.random.default_rng(40 + d))
+    mu_grid = np.linspace(mu / 16.0, mu, 16)
+    got = star_weight_sup_log_rho(traj, mu_grid)
+    want = oracle_star_sup_log_rho(traj, mu_grid)
+    assert got.shape == want.shape
+    for g, w in zip(got, want):
+        assert math.isfinite(w)
+        assert_log_close(float(g), float(w))
