@@ -3,7 +3,9 @@
 Exit codes: 0 all checks passed or were vacuous (reported as VACUOUS, with
 the reason), 1 a check failed (a data finding, e.g. the literal-mode
 counterexample residuals), 2 usage/config error, 3 numeric failure (solver
-divergence, non-finite values).  TSV columns are documented per subcommand in
+divergence, non-finite values, exact arithmetic out of range), 4 internal
+error (any other exception; one "internal error:" line on stderr, no
+traceback).  TSV columns are documented per subcommand in
 --help; JSON and TSV reports are deterministic given (subcommand, config, seed).
 """
 
@@ -20,7 +22,7 @@ import numpy as np
 
 from . import counterexample as ce
 from . import experiments as xp
-from .errors import (CarlemanError, ConfigError, NonFiniteError,
+from .errors import (CarlemanError, ConfigError, ExactRangeError, NonFiniteError,
                      SolverDivergenceError, ToleranceExceededError)
 from .evolution import (EvolutionConfig, evolve, make_decaying_datum,
                         normalize_observation)
@@ -362,9 +364,14 @@ def _run_hiding_scan(res: Resolver, out: Path, stamp: str, manifest: RunManifest
     report = {"R_list": list(Rs), "min_c": min_cs, "nonincreasing": nonincreasing,
               "sup_d1": phi.sup_d1, "sup_d2": phi.sup_d2}
     manifest.add(write_json(out / f"hiding_scan_{seed}_{stamp}.json", report))
-    return _emit(lines, all(math.isfinite(c) for c in min_cs), "hiding_inequalities",
-                 f"minimal c per R: {['%.3f' % c for c in min_cs]} "
-                 f"(nonincreasing: {nonincreasing})")
+    detail = f"minimal c per R: {['%.3f' % c for c in min_cs]}"
+    if not all(math.isfinite(c) for c in min_cs):
+        return _emit(lines, False, "hiding_inequalities", f"{detail} (no c absorbs at some R)")
+    if len(min_cs) < 2:
+        return _vacuous(lines, "hiding_inequalities",
+                        f"{detail}: fewer than two R, so no c is shown to serve larger R")
+    return _emit(lines, nonincreasing, "hiding_inequalities",
+                 f"{detail} (nonincreasing: {nonincreasing})")
 
 
 def _run_lambda_scan(res: Resolver, out: Path, stamp: str, manifest: RunManifest,
@@ -619,12 +626,15 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except (SolverDivergenceError, NonFiniteError) as e:
+    except (SolverDivergenceError, NonFiniteError, ExactRangeError) as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return 3
     except (OSError, ValueError, CarlemanError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except Exception as e:
+        print(f"internal error: {e!r}", file=sys.stderr)
+        return 4
     for line in lines:
         print(line)
     return 0 if ok else 1

@@ -2,9 +2,30 @@
 origin, vanishes on the diamond {|j1| + |j2 - R| <= 2}, and solves
 Delta_d u + V u = 0 with sup|V| independent of R.
 
-All arithmetic is exact (dyadic rationals via Fraction): vanishing of
-Delta_d u on the diamond is a zero-tolerance statement, so verification
-residuals are exactly zero or exactly nonzero.
+Representation: every value of u is 0 or +-2^{-e}.  The five closed-form rows
+give that, and so do the repaired ring values (h, -h/2, h/2, -h) with
+h = 2^{-(R-4)}.  A field's window is therefore held as two int64 arrays,
+sign in {-1, 0, 1} and exponent e, on the padded square |j|_inf <= M + 1 (one
+extra ring, so every window site has its four neighbors).  They are built
+once per DyadicField by ``_sign_exponent`` and cached; the float field, V,
+sup|V| and the equation check all come from them.
+
+Why the int64 arithmetic is exact: on a site with u != 0,
+    V = -Delta u / u = 4 - s_0 sum_k s_k 2^{e_0 - e_k}
+over its nonzero neighbors k.  With shift = max(0, max(e_k - e_0)), V is
+num / 2^shift and every term of num is an integer power of two.  Neighboring
+exponents differ by a few units only (the row regimes and the ring values),
+so shift and the terms are small; before summing, the code checks that every
+term is at most 2^50, so the five-term sum stays below 2^53, and raises
+ExactRangeError otherwise.  Integers below 2^53 are exact float64 values,
+so ldexp(num, -shift) and ldexp(sign, -e) equal the correctly rounded
+Fractions bit for bit.  On the vanishing set u = 0 the equation reads
+Delta u = 0; those sites (the 13 diamond sites) are checked with exact
+Fraction Laplacians.
+
+The per-site definitions (``literal_value``, ``DyadicField.value``,
+``laplacian``, ``potential_value``) stay as the exact reference; the exact
+sidecar and the diamond checks use them.
 
 Two value modes: "literal_paper" transcribes the five-row piecewise formula
 as printed (its axis-extreme diamond neighbors are inconsistent, which the
@@ -18,10 +39,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
-from .errors import RepairInfeasibleError, VerificationFailureError
+from .errors import ExactRangeError, RepairInfeasibleError, VerificationFailureError
 from .lattice import LatticeField, LatticeWindow, Potential
 
 
@@ -145,11 +167,63 @@ def repaired_ring_values(R: int) -> dict:
     return overrides
 
 
+def _dyadic_exponent(val) -> int:
+    """e with |val| = 2^{-e}; raises ValueError unless val is +-2^{-e}."""
+    q = Fraction(val)
+    num, den = abs(q.numerator), q.denominator
+    if num & (num - 1) or den & (den - 1):
+        raise ValueError(f"{val} is not 0 or a signed power of two")
+    return den.bit_length() - num.bit_length()
+
+
+def _sign_exponent(spec: CounterexampleSpec, overrides: dict):
+    """(sign, exponent) int64 arrays of u = sign * 2^{-exponent} on the padded
+    square |j|_inf <= M + 1, axis 0 = j1; exponent means nothing where
+    sign = 0."""
+    R, P = spec.R, spec.half_width + 1
+    j1, j2 = np.meshgrid(np.arange(-P, P + 1), np.arange(-P, P + 1), indexing="ij")
+    a1, a2 = np.abs(j1), np.abs(j2)
+    rows = [j2 <= R - 3, j2 >= R + 3, (j2 == R - 2) | (j2 == R + 2),
+            (j2 == R - 1) | (j2 == R + 1)]
+    exponent = np.select(rows, [a1 + a2, a1 + a2 - 6, a1 + R - 5, a1 + R - 6],
+                         default=a1 + R - 6).astype(np.int64)
+    sign = np.where(rows[2] | (j2 == R), -1, 1).astype(np.int64)
+    sign[a1 + np.abs(j2 - R) <= 2] = 0
+    for (k1, k2), val in overrides.items():
+        if max(abs(k1), abs(k2)) > P:
+            continue
+        idx = (k1 + P, k2 + P)
+        if val == 0:
+            sign[idx] = 0
+        else:
+            sign[idx], exponent[idx] = (1 if val > 0 else -1), _dyadic_exponent(val)
+    return sign, exponent
+
+
+def _potential_numerators(sign: np.ndarray, exponent: np.ndarray):
+    """(num, shift): V = num / 2^shift on the window (the padded square less
+    its outer ring), with V = 0 where u = 0; see the module docstring."""
+    s0, e0 = sign[1:-1, 1:-1], exponent[1:-1, 1:-1]
+    live = s0 != 0
+    neighbors = [(sign[2:, 1:-1], exponent[2:, 1:-1]), (sign[:-2, 1:-1], exponent[:-2, 1:-1]),
+                 (sign[1:-1, 2:], exponent[1:-1, 2:]), (sign[1:-1, :-2], exponent[1:-1, :-2])]
+    gaps = [np.where(live & (s != 0), e0 - e, 0) for s, e in neighbors]
+    shift = max(0, -min(int(g.min()) for g in gaps))
+    top = shift + max(2, max(int(g.max()) for g in gaps))
+    if top > 50:
+        raise ExactRangeError(f"V numerator term 2^{top} leaves the exact int64/float range")
+    num = np.where(live, np.int64(4) << shift, 0)
+    for (s, _), g in zip(neighbors, gaps):
+        num -= s0 * s * (np.int64(1) << (shift + g))
+    return num, shift
+
+
 @dataclass
 class DyadicField:
     """Exact-valued counterexample field; values come from the closed-form
     rows plus any repair overrides, so neighbors outside the stored window
-    are still exact."""
+    are still exact.  The window's sign/exponent arrays and V numerators are
+    computed on first use and cached (do not mutate ``overrides`` after)."""
 
     spec: CounterexampleSpec
     overrides: dict = field(default_factory=dict)
@@ -172,14 +246,18 @@ class DyadicField:
             return Fraction(0)
         return -self.laplacian(j1, j2) / u
 
+    @cached_property
+    def _arrays(self):
+        return _sign_exponent(self.spec, self.overrides)
+
+    @cached_property
+    def _v_numerators(self):
+        return _potential_numerators(*self._arrays)
+
     def to_lattice_field(self) -> LatticeField:
-        window = self.spec.window()
-        M = self.spec.half_width
-        vals = np.zeros(window.shape, dtype=complex)
-        for i1, j1 in enumerate(range(-M, M + 1)):
-            for i2, j2 in enumerate(range(-M, M + 1)):
-                vals[i1, i2] = float(self.value(j1, j2))
-        return LatticeField(window, vals)
+        sign, exponent = self._arrays
+        vals = np.ldexp(sign[1:-1, 1:-1], -exponent[1:-1, 1:-1]).astype(complex)
+        return LatticeField(self.spec.window(), vals)
 
     def exact_sidecar(self) -> dict:
         """Sign/numerator/denominator-exponent per nonzero near-diamond site."""
@@ -201,17 +279,22 @@ class DyadicField:
         return out
 
 
+def _field(spec: CounterexampleSpec) -> DyadicField:
+    return DyadicField(spec, repaired_ring_values(spec.R) if spec.value_mode == "repaired"
+                       else {})
+
+
+def _sup_v(u: DyadicField) -> Fraction:
+    """sup |V| over the window, exact."""
+    num, shift = u._v_numerators
+    return Fraction(int(np.max(np.abs(num))), 2**shift)
+
+
 def build_counterexample(spec: CounterexampleSpec):
     """(u, V): the exact field and its bounded potential on the spec window."""
-    overrides = repaired_ring_values(spec.R) if spec.value_mode == "repaired" else {}
-    u = DyadicField(spec, overrides)
-    window = spec.window()
-    M = spec.half_width
-    v_vals = np.zeros(window.shape)
-    for i1, j1 in enumerate(range(-M, M + 1)):
-        for i2, j2 in enumerate(range(-M, M + 1)):
-            v_vals[i1, i2] = float(u.potential_value(j1, j2))
-    return u, Potential(window, v_vals)
+    u = _field(spec)
+    num, shift = u._v_numerators
+    return u, Potential(spec.window(), np.ldexp(num, -shift))
 
 
 def diamond_sites(R: int) -> list:
@@ -239,24 +322,24 @@ def verify_counterexample(u: DyadicField, V: Potential, spec: CounterexampleSpec
                           raise_on_failure: bool = False) -> dict:
     """Exact checks: (a) vanishing diamond, (b) Delta u = 0 on it, (c) the
     equation with V everywhere in the window, (d) the ell^2 tail certificate,
-    (e) u(0,0) = 1.  Residuals are exact rationals; nothing is rounded."""
+    (e) u(0,0) = 1.  Residuals are exact rationals; nothing is rounded.
+
+    V = -Delta u / u satisfies the equation identically where u != 0, so (c)
+    only has to check Delta u = 0 on the zero set, site by site in row-major
+    order; sup|V| comes from u's exact V numerators (the V argument is not
+    read)."""
+    if u.spec != spec:
+        raise ValueError(f"field built for {u.spec}, asked to verify {spec}")
     R, M = spec.R, spec.half_width
     report = {"R": R, "mode": spec.value_mode}
     diamond = diamond_sites(R)
     vanish_fail = [s for s in diamond if u.value(*s) != 0]
     residuals = {s: u.laplacian(*s) for s in diamond}
     harmonic_fail = [(s, r) for s, r in residuals.items() if r != 0]
-    equation_fail = []
-    sup_v = Fraction(0)
-    for j1 in range(-M, M + 1):
-        for j2 in range(-M, M + 1):
-            uv = u.value(j1, j2)
-            lap = u.laplacian(j1, j2)
-            vv = -lap / uv if uv != 0 else Fraction(0)
-            if abs(vv) > sup_v:
-                sup_v = abs(vv)
-            if lap + vv * uv != 0:
-                equation_fail.append(((j1, j2), lap + vv * uv))
+    sign, _ = u._arrays
+    zero_set = [(int(i1) - M, int(i2) - M) for i1, i2 in np.argwhere(sign[1:-1, 1:-1] == 0)]
+    equation_fail = [(s, lap) for s in zero_set if (lap := u.laplacian(*s)) != 0]
+    sup_v = _sup_v(u)
     tail = tail_mass_bound(spec)
     report.update({
         "vanishing_diamond": {"pass": not vanish_fail, "failures": vanish_fail},
@@ -291,13 +374,7 @@ def potential_bound_scan(R_list, margin: int | None = None, value_mode: str = "r
     for R in R_list:
         spec = CounterexampleSpec(int(R), margin if margin is not None else max(60, int(R)),
                                   value_mode)
-        u = DyadicField(spec, repaired_ring_values(spec.R) if value_mode == "repaired" else {})
-        M = spec.half_width
-        sup_v = Fraction(0)
-        for j1 in range(-M, M + 1):
-            for j2 in range(-M, M + 1):
-                sup_v = max(sup_v, abs(u.potential_value(j1, j2)))
-        sups[int(R)] = sup_v
+        sups[int(R)] = _sup_v(_field(spec))
     values = list(sups.values())
     return {
         "sup_by_R": {str(k): str(v) for k, v in sups.items()},

@@ -55,5 +55,9 @@ class VerificationFailureError(CarlemanError):
         self.failures = list(failures)
 
 
+class ExactRangeError(CarlemanError):
+    """Exact integer arithmetic would leave int64 or the 2^53 float-exact range."""
+
+
 class ConfigError(CarlemanError):
     """Bad CLI/config input (maps to exit code 2)."""

@@ -8,6 +8,7 @@ with node-doubling error control is sufficient and fast.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -28,9 +29,19 @@ class QuadratureRule:
         return len(self.nodes)
 
 
+@lru_cache(maxsize=32)
+def _reference_rule(n: int):
+    """Read-only n-node Gauss-Legendre nodes and weights on [-1, 1]; each
+    costs an eigensolve, and callers ask for a few distinct n many times."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def gauss_legendre(n: int, a: float = 0.0, b: float = 1.0) -> QuadratureRule:
     """n-node Gauss-Legendre rule on [a, b]; exact on polynomials up to 2n-1."""
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = _reference_rule(n)
     half = 0.5 * (b - a)
     mid = 0.5 * (b + a)
     return QuadratureRule(a, b, mid + half * x, half * w)

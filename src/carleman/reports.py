@@ -84,7 +84,8 @@ def config_hash(config: dict) -> str:
 
 class RunManifest:
     """One manifest per CLI run; every output file is referenced in exactly
-    one manifest."""
+    one manifest.  ``input_hash`` covers the config less the output
+    directory and name stamp, so runs of the same inputs share it."""
 
     def __init__(self, subcommand: str, config: dict, seed):
         self.subcommand = subcommand
@@ -106,7 +107,8 @@ class RunManifest:
             "started": self.started,
             "finished": datetime.now(timezone.utc).isoformat(),
             "outputs": sorted(self.outputs),
-            "input_hash": config_hash(self.config),
+            "input_hash": config_hash({k: v for k, v in self.config.items()
+                                       if k not in ("out", "stamp")}),
         }
         path = Path(out_dir) / f"manifest_{self.subcommand}_{self.seed}_{stamp}.json"
         path.parent.mkdir(parents=True, exist_ok=True)

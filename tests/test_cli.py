@@ -1,13 +1,18 @@
 import json
+from fractions import Fraction
 
 import pytest
 
+from carleman import cli
+from carleman import counterexample as ce
 from carleman.cli import main
 from carleman.fieldio import write_field
 from carleman.lattice import LatticeField, LatticeWindow
 
-# tiny d=2 runs: 100 CN steps on a 21x21 / 25x25 window
+# tiny d=2 runs: 100 CN steps on a 21x21 / 25x25 window; the smallest
+# counterexample window (R = margin = 8)
 RUNS = {
+    "counterexample": ["--R", "8", "--margin", "8"],
     "lambda-scan": ["--d", "2", "--M", "12", "--dt", "1e-2", "--R-list", "4..9"],
     "logconvexity": ["--d", "2", "--M", "10", "--dt", "1e-2", "--L", "1",
                      "--potential", "alternating"],
@@ -59,3 +64,69 @@ def test_lambda_scan_with_empty_rings_reported_vacuous(tmp_path, capsys):
                                   ["lambda-scan", "--tolerance", "bad"]])
 def test_bad_flag_value_exits_2(argv, tmp_path, capsys):
     assert main([*argv, "--out", str(tmp_path)]) == 2
+
+
+def test_counterexample_literal_mode_exits_1(tmp_path, capsys):
+    code = main(["counterexample", "--R", "8", "--margin", "8", "--mode", "literal_paper",
+                 "--out", str(tmp_path), "--stamp", "pinned"])
+    assert code == 1
+    assert capsys.readouterr().out.startswith("FAIL counterexample: mode=literal_paper")
+    text = (tmp_path / "counterexample_R8_literal_paper_0_pinned_report.txt").read_text()
+    residuals = [line.strip() for line in text.splitlines() if "residual at" in line]
+    assert residuals == ["residual at (-2,8): 3/32", "residual at (0,6): -3/32",
+                         "residual at (0,10): -3/32", "residual at (2,8): 3/32"]
+
+
+def test_verify_counterexample_on_exported_field(tmp_path, capsys):
+    assert main(["counterexample", *RUNS["counterexample"],
+                 "--out", str(tmp_path), "--stamp", "pinned"]) == 0
+    exported = tmp_path / "counterexample_R8_repaired_0_pinned.bin"
+    assert main(["verify-counterexample", "--field-from", str(exported),
+                 "--out", str(tmp_path), "--stamp", "pinned", "--seed", "1"]) == 0
+    report = json.loads((tmp_path / "verify_counterexample_1_pinned.json").read_text())
+    assert report["pass"] and report["file_matches_exact_rebuild"] is True
+
+
+def test_potential_scan_exits_0(tmp_path, capsys):
+    assert main(["potential-scan", "--R-list", "8,9", "--margin", "9",
+                 "--out", str(tmp_path), "--stamp", "pinned"]) == 0
+    assert capsys.readouterr().out.startswith("PASS potential_bound: sup|V| = 5,")
+
+
+def test_exact_range_error_exits_3(tmp_path, capsys, monkeypatch):
+    # a repair override whose V term (2^59) leaves the exact integer range
+    monkeypatch.setattr(ce, "repaired_ring_values", lambda R: {(0, 0): Fraction(1, 2**60)})
+    assert main(["counterexample", *RUNS["counterexample"], "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err.startswith("numeric failure:")
+
+
+def test_unexpected_exception_exits_4_without_traceback(tmp_path, capsys, monkeypatch):
+    def boom(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli._DISPATCH, "potential-scan", boom)
+    assert main(["potential-scan", "--out", str(tmp_path)]) == 4
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["internal error: RuntimeError('boom')"]
+
+
+@pytest.mark.parametrize("r_list, code, verdict", [
+    ("10,20,40,80", 0, "PASS"),  # min c 1.786, 1.492, 1.306, 1.179
+    ("80,40,20,10", 1, "FAIL"),  # the same values increasing
+    ("10", 0, "VACUOUS"),        # nothing to compare
+])
+def test_hiding_scan_verdict_needs_nonincreasing_min_c(r_list, code, verdict, tmp_path, capsys):
+    assert main(["hiding-scan", "--R-list", r_list, "--grid-points", "20",
+                 "--out", str(tmp_path), "--stamp", "pinned"]) == code
+    assert capsys.readouterr().out.startswith(f"{verdict} hiding_inequalities: ")
+
+
+def test_input_hash_ignores_out_and_stamp(tmp_path, capsys):
+    def input_hash(out, stamp, margin="9"):
+        main(["potential-scan", "--R-list", "8", "--margin", margin,
+              "--out", str(tmp_path / out), "--stamp", stamp])
+        return json.loads((tmp_path / out / f"manifest_potential-scan_0_{stamp}.json")
+                          .read_text())["input_hash"]
+
+    assert input_hash("a", "one") == input_hash("b", "two")
+    assert input_hash("c", "one", margin="10") != input_hash("a", "one")

@@ -61,3 +61,14 @@ def test_complex_integrand():
     rule = gauss_legendre(24)
     val = integrate(lambda t: np.exp(2j * math.pi * t), rule)
     assert abs(val) < 1e-13
+
+
+def test_cached_reference_rule_is_not_shared_with_callers():
+    n = 7
+    x, w = np.polynomial.legendre.leggauss(n)
+    rule = gauss_legendre(n, -1.0, 1.0)
+    rule.nodes[0] = 99.0
+    rule.weights[:] = 0.0
+    again = gauss_legendre(n, -1.0, 1.0)
+    assert again.nodes.tobytes() == x.tobytes() and again.weights.tobytes() == w.tobytes()
+    assert gauss_legendre(n, 2.0, 4.0).nodes.tobytes() == (3.0 + 1.0 * x).tobytes()
