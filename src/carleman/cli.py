@@ -271,6 +271,9 @@ def _run_evolve(res: Resolver, out: Path, stamp: str, manifest: RunManifest, lin
     traj_dir = out / f"evolve_{seed}_{stamp}"
     manifest.add(*write_trajectory(traj_dir, traj))
     drift = traj.norm_drift()
+    boundary = traj.boundary_mass()
+    manifest.stats = {**traj.solver_stats, "norm_drift": drift, "boundary_mass": boundary,
+                      "boundary_mass_flag": boundary > 1e-12}
     return _emit(lines, drift < 1e-10, "norm_conservation",
                  f"max drift {drift:.3e} over {cfg.n_steps} steps")
 
@@ -350,9 +353,13 @@ def _run_hiding_scan(res: Resolver, out: Path, stamp: str, manifest: RunManifest
     s_grid = np.linspace(1.0, s_max, n_pts)
     rows = []
     min_cs = []
+    vacuous = False
     for R in Rs:
         scan = minimal_hiding_constant(d, R, phi, s_grid)
         min_cs.append(scan["min_c"])
+        if scan["vacuous"]:  # alpha = 0 would leave the log-domain sides undefined
+            vacuous = True
+            continue
         alpha = scan["min_c"] * R * math.log(R)
         for s in s_grid:
             sides = hiding_sides(alpha, R, d, phi.sup_d1, phi.sup_d2, float(s))
@@ -365,6 +372,9 @@ def _run_hiding_scan(res: Resolver, out: Path, stamp: str, manifest: RunManifest
               "sup_d1": phi.sup_d1, "sup_d2": phi.sup_d2}
     manifest.add(write_json(out / f"hiding_scan_{seed}_{stamp}.json", report))
     detail = f"minimal c per R: {['%.3f' % c for c in min_cs]}"
+    if vacuous:
+        return _vacuous(lines, "hiding_inequalities",
+                        f"{detail}: phi has no time derivatives, so there is nothing to absorb")
     if not all(math.isfinite(c) for c in min_cs):
         return _emit(lines, False, "hiding_inequalities", f"{detail} (no c absorbs at some R)")
     if len(min_cs) < 2:

@@ -85,7 +85,9 @@ def config_hash(config: dict) -> str:
 class RunManifest:
     """One manifest per CLI run; every output file is referenced in exactly
     one manifest.  ``input_hash`` covers the config less the output
-    directory and name stamp, so runs of the same inputs share it."""
+    directory and name stamp, so runs of the same inputs share it.  A
+    subcommand may set ``stats`` (e.g. CN solver statistics); the manifest
+    holds it only when set."""
 
     def __init__(self, subcommand: str, config: dict, seed):
         self.subcommand = subcommand
@@ -93,6 +95,7 @@ class RunManifest:
         self.seed = seed
         self.started = datetime.now(timezone.utc).isoformat()
         self.outputs: list[str] = []
+        self.stats: dict | None = None
 
     def add(self, *paths):
         for p in paths:
@@ -110,6 +113,8 @@ class RunManifest:
             "input_hash": config_hash({k: v for k, v in self.config.items()
                                        if k not in ("out", "stamp")}),
         }
+        if self.stats is not None:
+            doc["stats"] = sanitize(self.stats)
         path = Path(out_dir) / f"manifest_{self.subcommand}_{self.seed}_{stamp}.json"
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")

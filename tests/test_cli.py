@@ -10,12 +10,13 @@ from carleman.fieldio import write_field
 from carleman.lattice import LatticeField, LatticeWindow
 
 # tiny d=2 runs: 100 CN steps on a 21x21 / 25x25 window; the smallest
-# counterexample window (R = margin = 8)
+# counterexample window (R = margin = 8); threshold-scan is closed-form
 RUNS = {
     "counterexample": ["--R", "8", "--margin", "8"],
     "lambda-scan": ["--d", "2", "--M", "12", "--dt", "1e-2", "--R-list", "4..9"],
     "logconvexity": ["--d", "2", "--M", "10", "--dt", "1e-2", "--L", "1",
                      "--potential", "alternating"],
+    "threshold-scan": ["--d", "2", "--R-list", "4..9"],
 }
 
 
@@ -38,6 +39,51 @@ def test_subcommand_writes_manifested_reproducible_outputs(subcommand, tmp_path,
     assert run(subcommand, second, capsys)[0] == 0
     for name in outputs:
         assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+
+def run_evolve(out, *flags):
+    return main(["evolve", *flags, "--dt", "1e-2", "--store-every", "50",
+                 "--out", str(out), "--stamp", "pinned"])
+
+
+def test_evolve_writes_manifested_reproducible_trajectory(tmp_path, capsys):
+    # the trajectory files sit in evolve_<seed>_<stamp>/, the manifest beside it
+    first, second = tmp_path / "a", tmp_path / "b"
+    assert run_evolve(first, "--d", "2", "--M", "10") == 0
+    assert capsys.readouterr().out.startswith("PASS norm_conservation: max drift ")
+    outputs = json.loads((first / "manifest_evolve_0_pinned.json").read_text())["outputs"]
+    traj_dir = first / "evolve_0_pinned"
+    assert sorted(outputs) == sorted(p.name for p in traj_dir.iterdir())
+    assert "trajectory_00002.bin" in outputs  # t = 0, 0.5, 1
+
+    assert run_evolve(second, "--d", "2", "--M", "10") == 0
+    for name in outputs:
+        assert ((traj_dir / name).read_bytes()
+                == (second / "evolve_0_pinned" / name).read_bytes()), name
+
+
+@pytest.mark.parametrize("flags, flagged", [
+    (["--d", "2", "--M", "10"], True),   # the wave reaches the outer shell by T = 1
+    (["--d", "1", "--M", "34"], False),  # J_33(2)^2 is far below 1e-12
+])
+def test_evolve_manifest_records_solver_stats_and_boundary_flag(flags, flagged, tmp_path,
+                                                                capsys):
+    assert run_evolve(tmp_path, *flags) == 0
+    stats = json.loads((tmp_path / "manifest_evolve_0_pinned.json").read_text())["stats"]
+    assert sorted(stats) == ["boundary_mass", "boundary_mass_flag", "max_relative_residual",
+                             "norm_drift", "refinement_solves"]
+    assert stats["refinement_solves"] == 0
+    assert 0.0 < stats["max_relative_residual"] <= 1e-12
+    assert stats["norm_drift"] < 1e-10
+    assert stats["boundary_mass_flag"] is flagged
+    assert (stats["boundary_mass"] > 1e-12) is flagged
+
+
+def test_manifest_without_stats_has_no_stats_key(tmp_path, capsys):
+    assert main(["potential-scan", "--R-list", "8", "--margin", "9",
+                 "--out", str(tmp_path), "--stamp", "pinned"]) == 0
+    doc = json.loads((tmp_path / "manifest_potential-scan_0_pinned.json").read_text())
+    assert "stats" not in doc
 
 
 def test_logconvexity_nonpositive_c_emp_reported_vacuous(tmp_path, capsys):
@@ -130,3 +176,14 @@ def test_input_hash_ignores_out_and_stamp(tmp_path, capsys):
 
     assert input_hash("a", "one") == input_hash("b", "two")
     assert input_hash("c", "one", margin="10") != input_hash("a", "one")
+
+
+def test_hiding_scan_zero_profile_reported_vacuous(tmp_path, capsys):
+    # phi = 0 makes min c = 0 at every R; no TSV row is written at alpha = 0
+    assert main(["hiding-scan", "--phi", "zero", "--grid-points", "20",
+                 "--out", str(tmp_path), "--stamp", "pinned"]) == 0
+    assert capsys.readouterr().out.startswith("VACUOUS hiding_inequalities: ")
+    tsv = (tmp_path / "hiding_scan_0_pinned.tsv").read_text()
+    assert tsv == "R\talpha\ts\tlog_lhs\tlog_rhs_A\tlog_rhs_B\n"
+    report = json.loads((tmp_path / "hiding_scan_0_pinned.json").read_text())
+    assert report["min_c"] == [0.0, 0.0, 0.0, 0.0]

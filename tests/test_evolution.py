@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from carleman.bessel import bessel_j
-from carleman.errors import ZeroObservationError
+from carleman.errors import SolverDivergenceError, ZeroObservationError
 from carleman.evolution import (EvolutionConfig, Stepper, evolve,
                                 laplacian_matrix, make_decaying_datum,
                                 normalize_observation, observation_integral)
@@ -191,3 +191,82 @@ def test_store_every_thins_snapshots():
     traj = evolve(LatticeField.delta(window), cfg)
     assert traj.n_stored == 51
     assert traj.times[1] - traj.times[0] == pytest.approx(0.02, rel=1e-12)
+
+
+def test_tail_matches_dense_solve_oracle():
+    # the CN recurrence with dense LAPACK solves.  The far tail is 3.5e-41
+    # after one step and 2.7e-27 at T, so agreement in log|u| asks for
+    # relative accuracy at every site, which a normwise residual stop on a
+    # truncated series does not give.
+    window = LatticeWindow(2, 10)
+    potential = Potential.alternating(window)
+    cfg = EvolutionConfig(dt=1e-2, T=0.2, window=window, potential=potential)
+    traj = evolve(LatticeField.delta(window), cfg)
+
+    n = 2 * window.M + 1
+    lap1 = -2.0 * np.eye(n) + np.eye(n, k=1) + np.eye(n, k=-1)
+    H = np.kron(lap1, np.eye(n)) + np.kron(np.eye(n), lap1) + np.diag(potential.values.ravel())
+    A = np.eye(n * n) - 0.5j * cfg.dt * H
+    B = np.eye(n * n) + 0.5j * cfg.dt * H
+    u = LatticeField.delta(window).values.ravel().astype(complex)
+    oracle = [u]
+    for _ in range(cfg.n_steps):
+        u = np.linalg.solve(A, B @ u)
+        oracle.append(u)
+    oracle = np.array(oracle).reshape(traj.values.shape)
+
+    assert np.array_equal(traj.values == 0, oracle == 0)
+    nz = oracle != 0
+    assert np.min(np.abs(oracle[nz])) < 1e-26
+    log_dev = np.abs(np.log(np.abs(traj.values[nz])) - np.log(np.abs(oracle[nz])))
+    assert np.max(log_dev) < 1e-10
+
+
+def test_refinement_solves_counted_then_bounded():
+    # swap in a slightly different A, so the LU factor becomes an approximate
+    # inverse: refinement must close the gap, and give up after three solves
+    window, cfg = free_config(M=12, dt=1e-2)
+    u0 = LatticeField.delta(window).values.ravel().astype(complex)
+    stepper = Stepper(window, cfg.potential, cfg.dt)
+    exact_A = stepper.A
+    stepper.A = Stepper(window, cfg.potential, cfg.dt * (1 + 1e-3)).A
+    stepper.apply(u0)
+    assert 1 <= stepper.refinement_solves <= 3
+    refined_residual = stepper.max_relative_residual
+    assert 0.0 < refined_residual <= 1e-12
+    stepper.A = exact_A  # a smaller residual leaves the maximum in place
+    stepper.apply(u0)
+    assert stepper.max_relative_residual == refined_residual
+
+    class CountingLU:
+        def __init__(self, lu):
+            self.lu, self.solves = lu, 0
+
+        def solve(self, rhs):
+            self.solves += 1
+            return self.lu.solve(rhs)
+
+    stepper._lu = CountingLU(stepper._lu)
+    stepper.A = Stepper(window, cfg.potential, 2 * cfg.dt).A
+    with pytest.raises(SolverDivergenceError):
+        stepper.apply(u0)
+    assert stepper._lu.solves == 4  # the solve and three refinements
+
+
+def test_trajectory_records_solver_stats():
+    window, cfg = free_config(M=12, dt=1e-2)
+    traj = evolve(LatticeField.delta(window), cfg)
+    assert traj.solver_stats["refinement_solves"] == 0
+    assert 0.0 < traj.solver_stats["max_relative_residual"] <= 1e-12
+    assert traj.scaled(2.0).solver_stats == traj.solver_stats
+
+
+def test_store_every_keeps_final_node():
+    # 500 steps stored every 7th: nodes 0, 7, ..., 497, then T itself
+    window, cfg = free_config(M=12, dt=2e-3, store_every=7)
+    traj = evolve(LatticeField.delta(window), cfg)
+    full = evolve(LatticeField.delta(window), free_config(M=12, dt=2e-3)[1])
+    assert traj.n_stored == 73
+    assert traj.times[-2] == pytest.approx(0.994) and traj.times[-1] == pytest.approx(1.0)
+    assert np.array_equal(traj.values[-1], full.values[-1])
+    assert np.array_equal(traj.values[1], full.values[7])
