@@ -361,10 +361,10 @@ def _run_hiding_scan(res: Resolver, out: Path, stamp: str, manifest: RunManifest
             vacuous = True
             continue
         alpha = scan["min_c"] * R * math.log(R)
-        for s in s_grid:
-            sides = hiding_sides(alpha, R, d, phi.sup_d1, phi.sup_d2, float(s))
-            rows.append((R, alpha, float(s), sides["log_lhs"],
-                         sides["log_rhs_A"], sides["log_rhs_B"]))
+        sides = hiding_sides(alpha, R, d, phi.sup_d1, phi.sup_d2, s_grid)
+        rows.extend((R, alpha, s, lhs, rhs_a, rhs_b) for s, lhs, rhs_a, rhs_b in zip(
+            s_grid.tolist(), sides["log_lhs"].tolist(), sides["log_rhs_A"].tolist(),
+            sides["log_rhs_B"].tolist()))
     manifest.add(write_tsv(out / f"hiding_scan_{seed}_{stamp}.tsv",
                            ("R", "alpha", "s", "log_lhs", "log_rhs_A", "log_rhs_B"), rows))
     nonincreasing = all(b <= a + 1e-9 for a, b in zip(min_cs, min_cs[1:]))

@@ -155,13 +155,13 @@ class Stepper:
     def step(self, u: np.ndarray, Au: np.ndarray) -> tuple:
         """One CN step from u and A u; returns (u', A u')."""
         rhs = 2.0 * u - Au
-        scale = float(np.linalg.norm(rhs))
+        scale = math.sqrt(np.vdot(rhs, rhs).real)
         u = self._lu.solve(rhs)
         Au = self.A @ u
         if scale == 0.0:
             return u, Au
         res = rhs - Au
-        rel = float(np.linalg.norm(res)) / scale
+        rel = math.sqrt(np.vdot(res, res).real) / scale
         refinements = 0
         while rel > _RESIDUAL_TOL:
             if refinements == 3:
@@ -169,7 +169,7 @@ class Stepper:
             u = u + self._lu.solve(res)
             Au = self.A @ u
             res = rhs - Au
-            rel = float(np.linalg.norm(res)) / scale
+            rel = math.sqrt(np.vdot(res, res).real) / scale
             refinements += 1
         self.refinement_solves += refinements
         self.max_relative_residual = max(self.max_relative_residual, rel)

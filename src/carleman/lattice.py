@@ -3,13 +3,14 @@ log-domain weighted norms, and ring masses."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import RingOutsideWindowError
-from .logscalar import NEG_INF, LogScalar, logsumexp, tree_logsumexp
+from .logscalar import NEG_INF, LogScalar, logsumexp, tree_logaddexp
 
 _LOG_FLOOR = -745.0  # below exp() underflow; stands in for log(0) in arrays
 
@@ -158,6 +159,25 @@ def log_abs_sq(values: np.ndarray) -> np.ndarray:
     return np.where(mag_sq == 0.0, NEG_INF, out)
 
 
+def weighted_log_norm(values: np.ndarray, log_weights, d: int,
+                      time_weights: np.ndarray | None = None) -> np.ndarray:
+    """log sqrt( sum_j w_j^2 |u_j|^2 ) over the trailing d lattice axes of
+    values, time-integrated over the axis before them when time_weights are
+    given; any axes before those are batch axes and are kept.  -inf for a zero
+    norm.
+
+    log_weights broadcast against values.  The sites, then the time nodes, go
+    through one pairwise tree each (tree_logaddexp), so a batch entry gets
+    exactly the value it would get on its own.
+    """
+    x = 2.0 * np.asarray(log_weights, dtype=float) + log_abs_sq(values)
+    lead = x.shape[:x.ndim - d]
+    total = tree_logaddexp(x.reshape(lead + (math.prod(x.shape[x.ndim - d:]),)))
+    if time_weights is not None:
+        total = tree_logaddexp(total + np.log(time_weights))
+    return 0.5 * total
+
+
 def weighted_l2(u, log_weights, time_rule=None) -> LogScalar:
     """sqrt( sum_j w_j^2 |u_j|^2 ), wholly in the log domain.
 
@@ -166,20 +186,11 @@ def weighted_l2(u, log_weights, time_rule=None) -> LogScalar:
     either per-site or per (node, site).
     """
     values = u.values if isinstance(u, LatticeField) else np.asarray(u)
-    lw = np.asarray(log_weights, dtype=float)
     if time_rule is None:
-        total = tree_logsumexp(2.0 * lw + log_abs_sq(values))
-        return LogScalar.from_log(0.5 * total) if total != NEG_INF else LogScalar.zero()
-    if hasattr(time_rule, "weights"):
-        t_weights = np.asarray(time_rule.weights, dtype=float)
-    else:
-        t_weights = np.asarray(time_rule[1], dtype=float)
-    per_node = np.empty(len(t_weights))
-    for n in range(len(t_weights)):
-        lw_n = lw[n] if lw.ndim == values.ndim else lw
-        per_node[n] = tree_logsumexp(2.0 * lw_n + log_abs_sq(values[n]))
-    total = tree_logsumexp(per_node + np.log(t_weights))
-    return LogScalar.from_log(0.5 * total) if total != NEG_INF else LogScalar.zero()
+        return LogScalar.from_log(float(weighted_log_norm(values, log_weights, values.ndim)))
+    t_weights = time_rule.weights if hasattr(time_rule, "weights") else time_rule[1]
+    return LogScalar.from_log(float(weighted_log_norm(values, log_weights, values.ndim - 1,
+                                                      np.asarray(t_weights, dtype=float))))
 
 
 def radial_log_sums(window: LatticeWindow, log_mass: np.ndarray) -> tuple:

@@ -171,21 +171,29 @@ def log_sum(items: Iterable[LogScalar]) -> LogScalar:
     return vals[0]
 
 
-def tree_logsumexp(logs: np.ndarray | Sequence[float]) -> float:
-    """log(sum(exp(logs))) for nonnegative terms via a pairwise tree.
+def tree_logaddexp(x: np.ndarray) -> np.ndarray:
+    """log(sum(exp(x))) along the last axis, for nonnegative terms, via a
+    pairwise tree.
 
-    Deterministic: pads to a power of two with -inf and folds halves, so the
-    association pattern depends only on the number of terms.
+    Deterministic: pads the last axis to a power of two with -inf and folds
+    halves, so the association pattern depends only on its length and every
+    leading index is reduced exactly as it would be on its own.
     """
-    x = np.asarray(logs, dtype=float).ravel()
-    if x.size == 0:
-        return NEG_INF
-    n = 1 << max(0, (int(x.size) - 1).bit_length())
-    if n != x.size:
-        x = np.concatenate([x, np.full(n - x.size, NEG_INF)])
-    while x.size > 1:
-        x = np.logaddexp(x[0::2], x[1::2])
-    return float(x[0])
+    x = np.asarray(x, dtype=float)
+    n = x.shape[-1]
+    if n == 0:
+        return np.full(x.shape[:-1], NEG_INF)
+    size = 1 << (n - 1).bit_length()
+    if size != n:
+        x = np.concatenate([x, np.full(x.shape[:-1] + (size - n,), NEG_INF)], axis=-1)
+    while x.shape[-1] > 1:
+        x = np.logaddexp(x[..., 0::2], x[..., 1::2])
+    return x[..., 0]
+
+
+def tree_logsumexp(logs: np.ndarray | Sequence[float]) -> float:
+    """log(sum(exp(logs))) over every entry: the 1-d case of tree_logaddexp."""
+    return float(tree_logaddexp(np.asarray(logs, dtype=float).ravel()))
 
 
 def logsumexp(x: np.ndarray, axis: int = -1) -> np.ndarray:

@@ -1,9 +1,20 @@
 """Conjugated evolution operators S and A, their identities, and the
 weighted-inequality machinery.
 
-Conventions: space-time fields live on a Gauss-Legendre time grid over [0,1]
-with spatial axes trailing; time factors of test functions are polynomials so
-every time derivative used by operator composition is closed-form.
+Conventions: a space-time field has shape (..., T, *window.shape).  The d
+lattice axes trail, the T Gauss-Legendre time nodes over [0,1] sit on axis
+-(d+1), and any axes before that index trials.  Every routine addresses axes
+from the end and sums over the trailing ones, so one field is simply a batch
+with no leading axis and a batch runs through the same code.  The batch checks
+(carleman_constant_batch, symmetry_check, commutator_check, conjugation_check)
+draw their trials in blocks of at most BLOCK_VALUES entries per field array,
+which bounds memory whatever the trial count.  Trial t still draws from its own
+default_rng((seed, t)), so neither the trial fields nor the Carleman ratios
+depend on the block a trial falls in; the identity-check defects, which are
+rounding residuals, can move in their last bits with it, because numpy
+evaluates a large temporary in place through a differently rounding loop.
+Time factors of test functions are polynomials, so every time derivative used
+by operator composition is closed-form.
 
 Numerical scale: with alpha = c R log R the hopping coefficients
 cosh/sinh((2 alpha/R)((j_k +- 1/2)/R + phi)) reach e^40 and beyond.  Those
@@ -25,22 +36,40 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 from .errors import NonFiniteError, SupportViolationError, ToleranceExceededError
-from .lattice import LatticeWindow, laplacian_values
-from .logscalar import LogScalar, tree_logsumexp
+from .lattice import LatticeWindow, laplacian_values, weighted_log_norm
+from .logscalar import NEG_INF
 from .profiles import TimeProfile, WeightSpec, _glue_h, weight_log_magnitude
 from .quadrature import QuadratureRule, gauss_legendre
+
+# Entries of one (trials, T, *window.shape) field array in a block of trials:
+# 256 KiB of complex values, whatever the dimension and window.
+BLOCK_VALUES = 1 << 14
+
+_BUMP = np.array([0.0, 0.0, 1.0, -2.0, 1.0])  # t^2 (1-t)^2
 
 
 def make_time_grid(n_nodes: int = 24) -> QuadratureRule:
     return gauss_legendre(n_nodes, 0.0, 1.0)
 
 
+def _integral(grid: QuadratureRule, d: int, density: np.ndarray):
+    """Time quadrature of the site sum of a (..., T, *window.shape) density.
+
+    One BLAS dot per trial, as for a single field: a matrix-vector product
+    rounds a trial differently depending on how many trials share the call.
+    """
+    per_node = np.sum(density, axis=tuple(range(-d, 0)))
+    rows = per_node.reshape(-1, per_node.shape[-1])
+    return np.array([np.dot(grid.weights, row) for row in rows]).reshape(per_node.shape[:-1])[()]
+
+
 @dataclass
 class SpaceTimeField:
-    """Complex field on (time nodes) x (window sites) with closed-form
-    time derivatives where available."""
+    """Complex field on (trials...) x (time nodes) x (window sites) with
+    closed-form time derivatives where available."""
 
     window: LatticeWindow
     grid: QuadratureRule
@@ -52,19 +81,16 @@ class SpaceTimeField:
     def n_nodes(self) -> int:
         return len(self.grid.nodes)
 
-    def norm_sq(self) -> float:
-        per_node = np.sum(np.abs(self.values) ** 2, axis=tuple(range(1, self.values.ndim)))
-        return float(np.dot(self.grid.weights, per_node))
+    def norm_sq(self):
+        return _integral(self.grid, self.window.d, np.abs(self.values) ** 2)
 
-    def norm(self) -> float:
-        return math.sqrt(self.norm_sq())
+    def norm(self):
+        return np.sqrt(self.norm_sq())
 
 
-def inner(F: SpaceTimeField, G: SpaceTimeField) -> complex:
+def inner(F: SpaceTimeField, G: SpaceTimeField):
     """Time-quadrature of the ell^2 pairing sum_j F_j conj(G_j)."""
-    prod = F.values * np.conj(G.values)
-    per_node = np.sum(prod, axis=tuple(range(1, prod.ndim)))
-    return complex(np.dot(F.grid.weights, per_node))
+    return _integral(F.grid, F.window.d, F.values * np.conj(G.values))
 
 
 def _shift(values: np.ndarray, axis: int, step: int) -> np.ndarray:
@@ -87,8 +113,9 @@ def _shift(values: np.ndarray, axis: int, step: int) -> np.ndarray:
 class OperatorCoefficients:
     """All t- and site-dependent coefficient arrays for one (spec, window, grid).
 
-    Shapes broadcast as (T, *window.shape); axis k of the lattice is ndarray
-    axis 1+k.  b^+-_k is (2 alpha/R)((j_k +- 1/2)/R + phi(t) delta_{1k}).
+    Shapes broadcast as (T, *window.shape), so they broadcast against any
+    leading trial axes too; axis k of the lattice is ndarray axis k - d.
+    b^+-_k is (2 alpha/R)((j_k +- 1/2)/R + phi(t) delta_{1k}).
     """
 
     def __init__(self, spec: WeightSpec, window: LatticeWindow, grid: QuadratureRule):
@@ -118,7 +145,7 @@ class OperatorCoefficients:
         self.b_dot = scale * self.phi_d1  # d/dt of b^+-_0; zero for k >= 1
 
     def spatial_axis(self, k: int) -> int:
-        return 1 + k
+        return k - self.window.d
 
 
 def apply_s(F: SpaceTimeField, co: OperatorCoefficients, want_derivative: bool = False) -> SpaceTimeField:
@@ -221,15 +248,14 @@ def conjugation_oracle(F: SpaceTimeField, spec: WeightSpec) -> SpaceTimeField:
     dvals_ld = F.dvalues.astype(np.clongdouble)
     out = 1j * dvals_ld - 1j * w_dot * vals_ld - (2.0 * d) * vals_ld
     for k in range(d):
-        ax = 1 + k
         sl_plus = list(core)
-        sl_plus[ax] = slice(2, None)
+        sl_plus[1 + k] = slice(2, None)
         sl_minus = list(core)
-        sl_minus[ax] = slice(None, -2)
+        sl_minus[1 + k] = slice(None, -2)
         delta_plus = W - W_ext[tuple(sl_plus)]
         delta_minus = W - W_ext[tuple(sl_minus)]
-        out = out + np.exp(delta_plus) * _shift(vals_ld, ax, +1)
-        out = out + np.exp(delta_minus) * _shift(vals_ld, ax, -1)
+        out = out + np.exp(delta_plus) * _shift(vals_ld, k - d, +1)
+        out = out + np.exp(delta_minus) * _shift(vals_ld, k - d, -1)
     return SpaceTimeField(window, grid, out.astype(complex))
 
 
@@ -245,37 +271,33 @@ def symmetry_defects(f: SpaceTimeField, g: SpaceTimeField, co: OperatorCoefficie
     omitted.
     """
     d = co.window.d
-    w = f.grid.weights
+    grid = f.grid
+    node_sites = (len(grid.nodes),) + co.window.shape
     conj_g = np.conj(g.values)
     sym = 0.0 + 0.0j
     skew = 0.0 + 0.0j
     for k in range(d):
-        ax = co.spatial_axis(k)
-        lo = [slice(None)] * f.values.ndim
-        hi = [slice(None)] * f.values.ndim
-        lo[ax] = slice(None, -1)
-        hi[ax] = slice(1, None)
-        lo, hi = tuple(lo), tuple(hi)
+        lo = (...,) + tuple(slice(None, -1) if i == k else slice(None) for i in range(d))
+        hi = (...,) + tuple(slice(1, None) if i == k else slice(None) for i in range(d))
         cross_fg = f.values[hi] * conj_g[lo]  # f_{j+e_k} g*_j
         cross_gf = f.values[lo] * conj_g[hi]  # f_j g*_{j+e_k}
-        bp_lo = np.broadcast_to(co.bp[k], f.values.shape)[lo]
-        bm_hi = np.broadcast_to(co.bm[k], f.values.shape)[hi]
+        bp_lo = np.broadcast_to(co.bp[k], node_sites)[lo]
+        bm_hi = np.broadcast_to(co.bm[k], node_sites)[hi]
         sym_bond = (np.cosh(bp_lo) - np.cosh(bm_hi)) * (cross_fg - cross_gf)
         skew_bond = (np.sinh(bm_hi) - np.sinh(bp_lo)) * (cross_gf + cross_fg)
-        axes = tuple(range(1, f.values.ndim))
-        sym += complex(np.dot(w, np.sum(sym_bond, axis=axes)))
-        skew += complex(np.dot(w, np.sum(skew_bond, axis=axes)))
+        sym = sym + _integral(grid, d, sym_bond)
+        skew = skew + _integral(grid, d, skew_bond)
     # i * int (d/dt sum_j f g*) dt : the only non-cancelling S contribution
     ddt = f.dvalues * conj_g + f.values * np.conj(g.dvalues)
-    axes = tuple(range(1, f.values.ndim))
-    sym += 1j * complex(np.dot(w, np.sum(ddt, axis=axes)))
+    sym = sym + 1j * _integral(grid, d, ddt)
     scale = f.norm() * g.norm()
-    if scale == 0.0:
-        return 0.0, 0.0
-    return abs(sym) / scale, abs(skew) / scale
+    vanishes = scale == 0.0
+    scale = np.where(vanishes, 1.0, scale)
+    return (np.where(vanishes, 0.0, np.abs(sym) / scale)[()],
+            np.where(vanishes, 0.0, np.abs(skew) / scale)[()])
 
 
-def commutator_quadratic_form(f: SpaceTimeField, co: OperatorCoefficients) -> float:
+def commutator_quadratic_form(f: SpaceTimeField, co: OperatorCoefficients):
     """The four-term closed form of <[S,A]f, f> (time-integrated).
 
     With phi constant the last two terms vanish and the rest is a sum of
@@ -283,8 +305,7 @@ def commutator_quadratic_form(f: SpaceTimeField, co: OperatorCoefficients) -> fl
     """
     spec = co.spec
     d = co.window.d
-    w = f.grid.weights
-    axes = tuple(range(1, f.values.ndim))
+    grid = f.grid
     mag_sq = np.abs(f.values) ** 2
     sinh_front = math.sinh(2.0 * spec.alpha / spec.R**2)
 
@@ -295,16 +316,16 @@ def commutator_quadratic_form(f: SpaceTimeField, co: OperatorCoefficients) -> fl
         t1_density += np.sinh(co.a0[k]) ** 2 * mag_sq
         centered = 0.5 * (_shift(f.values, ax, +1) - _shift(f.values, ax, -1))
         t2_density += np.abs(centered) ** 2
-    term1 = 4.0 * sinh_front * float(np.dot(w, np.sum(t1_density, axis=axes)))
-    term2 = 4.0 * sinh_front * float(np.dot(w, np.sum(t2_density, axis=axes)))
-    term3 = float(np.dot(w, np.sum(co.theta_dot * mag_sq, axis=axes)))
+    term1 = 4.0 * sinh_front * _integral(grid, d, t1_density)
+    term2 = 4.0 * sinh_front * _integral(grid, d, t2_density)
+    term3 = _integral(grid, d, co.theta_dot * mag_sq)
     im_hop = np.imag(_shift(f.values, co.spatial_axis(0), +1) * np.conj(f.values))
     t4_density = (8.0 * spec.alpha / spec.R) * co.phi_d1 * np.cosh(co.bp[0]) * im_hop
-    term4 = float(np.dot(w, np.sum(t4_density, axis=axes)))
+    term4 = _integral(grid, d, t4_density)
     return term1 + term2 + term3 + term4
 
 
-def commutator_lhs(f: SpaceTimeField, co: OperatorCoefficients) -> float:
+def commutator_lhs(f: SpaceTimeField, co: OperatorCoefficients):
     """<(SA - AS) f, f> by direct operator composition.
 
     Coefficient time derivatives are closed-form, so S(Af) uses the exact
@@ -315,8 +336,38 @@ def commutator_lhs(f: SpaceTimeField, co: OperatorCoefficients) -> float:
     sf = apply_s(f, co)
     asf = apply_a(sf, co)
     comm = SpaceTimeField(f.window, f.grid, saf.values - asf.values)
-    val = inner(comm, f)
-    return float(val.real)
+    return np.real(inner(comm, f))
+
+
+def _draw(window: LatticeWindow, rng, t_degree: int = 3) -> tuple:
+    """One field's random data, in the fixed draw order: the coefficients of
+    psi = t^2 (1-t)^2 times a random polynomial, then the complex Gaussian
+    site values."""
+    coeffs = rng.standard_normal(t_degree + 1) + 1j * rng.standard_normal(t_degree + 1)
+    h = rng.standard_normal(window.shape) + 1j * rng.standard_normal(window.shape)
+    return P.polymul(_BUMP, coeffs), h
+
+
+def _tensor_field(window: LatticeWindow, grid: QuadratureRule, psi: np.ndarray, h: np.ndarray,
+                  support_margin: int, site_mask: np.ndarray | None, n_derivatives: int
+                  ) -> SpaceTimeField:
+    """psi(t) h_j and its first n_derivatives time derivatives.
+
+    psi: polynomial coefficients (degree+1, *trials); h: site values
+    (*trials, *window.shape), zeroed in place within support_margin of the
+    window edge and then multiplied by site_mask when given.
+    """
+    inf_norm = np.zeros(window.shape)
+    for k in range(window.d):
+        inf_norm = np.maximum(inf_norm, np.abs(window.coordinate(k)))
+    h[..., inf_norm > window.M - support_margin] = 0.0
+    if site_mask is not None:
+        h = h * site_mask
+    h = np.expand_dims(h, -(window.d + 1))
+    over_sites = (...,) + (np.newaxis,) * window.d
+    parts = [P.polyval(grid.nodes, P.polyder(psi, m))[over_sites] * h
+             for m in range(n_derivatives + 1)]
+    return SpaceTimeField(window, grid, *parts)
 
 
 def random_tensor_field(window: LatticeWindow, grid: QuadratureRule, rng,
@@ -328,22 +379,35 @@ def random_tensor_field(window: LatticeWindow, grid: QuadratureRule, rng,
     (and outside site_mask when given); closed-form psi', psi'' ride along so
     operator compositions stay finite-difference-free.
     """
-    P = np.polynomial.Polynomial
-    bump = P([0.0, 0.0, 1.0, -2.0, 1.0])  # t^2 (1-t)^2
-    coeffs = rng.standard_normal(t_degree + 1) + 1j * rng.standard_normal(t_degree + 1)
-    psi = bump * P(coeffs)
-    h = rng.standard_normal(window.shape) + 1j * rng.standard_normal(window.shape)
-    inf_norm = np.zeros(window.shape)
-    for k in range(window.d):
-        inf_norm = np.maximum(inf_norm, np.abs(window.coordinate(k)))
-    h[inf_norm > window.M - support_margin] = 0.0
-    if site_mask is not None:
-        h = h * site_mask
-    t = grid.nodes
-    values = np.multiply.outer(psi(t), h)
-    dvalues = np.multiply.outer(psi.deriv(1)(t), h)
-    ddvalues = np.multiply.outer(psi.deriv(2)(t), h)
-    return SpaceTimeField(window, grid, values, dvalues, ddvalues)
+    psi, h = _draw(window, rng, t_degree)
+    return _tensor_field(window, grid, psi, h, support_margin, site_mask, 2)
+
+
+def _trial_blocks(trials: int, grid: QuadratureRule, window: LatticeWindow) -> list:
+    """Consecutive ranges of trial indices, each small enough that one field
+    array of the block holds at most BLOCK_VALUES entries."""
+    per_block = max(1, BLOCK_VALUES // (len(grid.nodes) * window.site_count))
+    return [range(lo, min(lo + per_block, trials)) for lo in range(0, trials, per_block)]
+
+
+def _trial_fields(window: LatticeWindow, grid: QuadratureRule, seed: int, block: range,
+                  n_fields: int = 1, support_margin: int = 3,
+                  site_mask: np.ndarray | None = None) -> list:
+    """The n_fields random fields of every trial in block, stacked along a
+    leading trial axis, with first time derivatives.  Trial t draws its fields
+    in turn from default_rng((seed, t)), as random_tensor_field would."""
+    draws = [[_draw(window, rng) for _ in range(n_fields)]
+             for rng in (np.random.default_rng((seed, trial)) for trial in block)]
+    return [_tensor_field(window, grid, np.stack([trial[i][0] for trial in draws], axis=-1),
+                          np.stack([trial[i][1] for trial in draws]),
+                          support_margin, site_mask, 1)
+            for i in range(n_fields)]
+
+
+def _worst(values: np.ndarray, block: range) -> tuple:
+    """(largest value, its first trial index) within one block."""
+    i = int(np.argmax(values))
+    return float(values[i]), block[i]
 
 
 def _check_report(check: str, params: dict, defect: float, tolerance: float) -> dict:
@@ -358,15 +422,14 @@ def symmetry_check(spec: WeightSpec, window: LatticeWindow, trials: int, seed: i
     co = OperatorCoefficients(spec, window, grid)
     worst_sym = worst_skew = 0.0
     worst_trial = -1
-    for trial in range(trials):
-        rng = np.random.default_rng((seed, trial))
-        f = random_tensor_field(window, grid, rng)
-        g = random_tensor_field(window, grid, rng)
+    for block in _trial_blocks(trials, grid, window):
+        f, g = _trial_fields(window, grid, seed, block, n_fields=2)
         s_def, a_def = symmetry_defects(f, g, co)
-        if max(s_def, a_def) > max(worst_sym, worst_skew):
+        top, trial = _worst(np.maximum(s_def, a_def), block)
+        if top > max(worst_sym, worst_skew):
             worst_trial = trial
-        worst_sym = max(worst_sym, s_def)
-        worst_skew = max(worst_skew, a_def)
+        worst_sym = max(worst_sym, float(np.max(s_def)))
+        worst_skew = max(worst_skew, float(np.max(a_def)))
     report = {
         "symmetry": _check_report("S_symmetry", {"d": spec.d, "R": spec.R, "alpha": spec.alpha,
                                                  "phi": spec.phi.kind, "trials": trials, "seed": seed},
@@ -391,19 +454,16 @@ def commutator_check(spec: WeightSpec, window: LatticeWindow, trials: int, seed:
     worst_ratio = 0.0
     worst_trial = -1
     cs_ok = True
-    for trial in range(trials):
-        rng = np.random.default_rng((seed, trial))
-        f = random_tensor_field(window, grid, rng)
+    for block in _trial_blocks(trials, grid, window):
+        (f,) = _trial_fields(window, grid, seed, block)
         lhs = commutator_lhs(f, co)
         rhs = commutator_quadratic_form(f, co)
-        scale = abs(lhs) + f.norm_sq()
-        ratio = abs(lhs - rhs) / scale
-        if ratio > worst_ratio:
-            worst_ratio, worst_trial = ratio, trial
-        sf = apply_s(f, co)
-        af = apply_a(f, co)
-        total = SpaceTimeField(window, grid, sf.values + af.values)
-        if total.norm_sq() < lhs - rel_tolerance * scale:
+        scale = np.abs(lhs) + f.norm_sq()
+        top, trial = _worst(np.abs(lhs - rhs) / scale, block)
+        if top > worst_ratio:
+            worst_ratio, worst_trial = top, trial
+        total = SpaceTimeField(window, grid, apply_s(f, co).values + apply_a(f, co).values)
+        if np.any(total.norm_sq() < lhs - rel_tolerance * scale):
             cs_ok = False
     params = {"d": spec.d, "R": spec.R, "alpha": spec.alpha, "phi": spec.phi.kind,
               "trials": trials, "seed": seed}
@@ -429,15 +489,13 @@ def conjugation_check(spec: WeightSpec, window: LatticeWindow, trials: int, seed
     grid = make_time_grid(n_nodes)
     co = OperatorCoefficients(spec, window, grid)
     worst_abs = worst_rel = 0.0
-    for trial in range(trials):
-        rng = np.random.default_rng((seed, trial))
-        f = random_tensor_field(window, grid, rng)
+    for block in _trial_blocks(trials, grid, window):
+        (f,) = _trial_fields(window, grid, seed, block)
         lhs = apply_s_plus_a(f, co)
         rhs = conjugation_oracle(f, spec)
-        diff = SpaceTimeField(window, grid, lhs.values - rhs.values)
-        nd = diff.norm()
-        worst_abs = max(worst_abs, nd / f.norm())
-        worst_rel = max(worst_rel, nd / max(lhs.norm(), rhs.norm()))
+        nd = SpaceTimeField(window, grid, lhs.values - rhs.values).norm()
+        worst_abs = max(worst_abs, float(np.max(nd / f.norm())))
+        worst_rel = max(worst_rel, float(np.max(nd / np.maximum(lhs.norm(), rhs.norm()))))
     return {
         "defect_over_norm_f": worst_abs,
         "defect_relative": worst_rel,
@@ -467,38 +525,45 @@ def log_cosh(x: float) -> float:
     return math.log(math.cosh(x))
 
 
-def hiding_sides(alpha: float, R: float, d: int, sup_d1: float, sup_d2: float, s: float) -> dict:
+def _each(fn: Callable[[float], float], x: np.ndarray) -> np.ndarray:
+    """A scalar math function applied entry by entry; numpy's vectorized
+    sinh, cosh and log can round the last bit differently from libm."""
+    return np.array([fn(v) for v in x.ravel().tolist()]).reshape(x.shape)
+
+
+def hiding_sides(alpha: float, R: float, d: int, sup_d1: float, sup_d2: float, s) -> dict:
     """Log-domain left/right sides of the two absorption inequalities at
-    |j/R + phi| = s >= 1.
+    |j/R + phi| = s >= 1, for a float s or an array of them (each side comes
+    back in the shape of s).
 
     A: sinh(2a/R^2) sinh^2(2as/R) >= (8 a sup_d1 / R) cosh(a/R^2) cosh(2as/R)
     B: sinh(2a/R^2) sinh^2(2as/R) >= 2 a sup_d2 s
     """
-    lhs = log_sinh(2.0 * alpha / R**2) + 2.0 * log_sinh(2.0 * alpha * s / R)
-    out = {"log_lhs": lhs}
-    if sup_d1 > 0:
-        out["log_rhs_A"] = (math.log(8.0 * alpha * sup_d1 / R)
-                            + log_cosh(alpha / R**2) + log_cosh(2.0 * alpha * s / R))
-    else:
-        out["log_rhs_A"] = -math.inf
-    out["log_rhs_B"] = math.log(2.0 * alpha * sup_d2 * s) if sup_d2 > 0 else -math.inf
-    return out
+    s = np.asarray(s, dtype=float)
+    x = 2.0 * alpha * s / R
+    none = np.full(s.shape, -math.inf)
+    sides = {"log_lhs": log_sinh(2.0 * alpha / R**2) + 2.0 * _each(log_sinh, x)}
+    sides["log_rhs_A"] = (math.log(8.0 * alpha * sup_d1 / R) + log_cosh(alpha / R**2)
+                          + _each(log_cosh, x)) if sup_d1 > 0 else none
+    sides["log_rhs_B"] = _each(math.log, 2.0 * alpha * sup_d2 * s) if sup_d2 > 0 else none
+    return {key: side[()] for key, side in sides.items()}
 
 
 def minimal_hiding_constant(d: int, R: float, phi: TimeProfile, s_grid,
                             c_lo: float = 1e-3, c_hi: float = 64.0) -> dict:
     """Smallest c such that both inequalities hold on the grid at alpha = c R log R."""
     s_grid = np.asarray(s_grid, dtype=float)
-    if np.any(s_grid < 1.0):
-        raise ValueError("grid values must be >= 1")
+    if s_grid.size == 0 or np.any(s_grid < 1.0):
+        raise ValueError("grid values must be >= 1, and there must be at least one")
+    # With x = 2 alpha s / R, d/ds of log_lhs - log_rhs_A is (2 coth x - tanh x) dx/ds
+    # and of log_lhs - log_rhs_B is (2 x coth x - 1) / s, both positive: both
+    # margins grow with s, so the grid's smallest point decides.
+    s_min = float(np.min(s_grid))
 
     def holds(c: float) -> bool:
         alpha = c * R * math.log(R)
-        for s in s_grid:
-            sides = hiding_sides(alpha, R, d, phi.sup_d1, phi.sup_d2, float(s))
-            if sides["log_lhs"] < max(sides["log_rhs_A"], sides["log_rhs_B"]):
-                return False
-        return True
+        sides = hiding_sides(alpha, R, d, phi.sup_d1, phi.sup_d2, s_min)
+        return not sides["log_lhs"] < max(sides["log_rhs_A"], sides["log_rhs_B"])
 
     if phi.sup_d1 == 0.0 and phi.sup_d2 == 0.0:
         return {"min_c": 0.0, "vacuous": True}
@@ -514,29 +579,6 @@ def minimal_hiding_constant(d: int, R: float, phi: TimeProfile, s_grid,
         else:
             lo = mid
     return {"min_c": hi, "vacuous": False}
-
-
-def hiding_inequalities(spec: WeightSpec, s_grid) -> dict:
-    """Pointwise log-domain evaluation at the spec's own alpha plus the
-    minimal-c scan; failures are data, not errors."""
-    s_grid = np.asarray(s_grid, dtype=float)
-    if np.any(s_grid < 1.0):
-        raise ValueError("grid values must be >= 1")
-    phi = spec.phi
-    rows = []
-    for s in s_grid:
-        sides = hiding_sides(spec.alpha, spec.R, spec.d, phi.sup_d1, phi.sup_d2, float(s))
-        rows.append({
-            "s": float(s),
-            **sides,
-            "holds_A": sides["log_lhs"] >= sides["log_rhs_A"],
-            "holds_B": sides["log_lhs"] >= sides["log_rhs_B"],
-        })
-    scan = minimal_hiding_constant(spec.d, spec.R, phi, s_grid)
-    return {"rows": rows, "minimal_c": scan["min_c"],
-            "all_hold_at_alpha": all(r["holds_A"] and r["holds_B"] for r in rows),
-            "params": {"d": spec.d, "R": spec.R, "alpha": spec.alpha,
-                       "sup_d1": phi.sup_d1, "sup_d2": phi.sup_d2}}
 
 
 def absorption_threshold(alpha: float, R: float, L: float, d: int) -> bool:
@@ -578,7 +620,7 @@ def admissible_site_mask(spec: WeightSpec, window: LatticeWindow) -> tuple:
     |j/R + phi(t) e_1|^2 >= 1 at every time the profile visits.
 
     The worst case over phi in [phi_min, phi_max] is at the clamped minimizer
-    phi* = clip(-j_1/R, phi_min, phi_max).
+    phi* = clip(-j_1/R, phi_min, phi_max).  The ramp vanishes off the hard mask.
     """
     if spec.phi.kind == "paper_phi":
         phi_lo, phi_hi = 0.0, 3.0
@@ -597,59 +639,60 @@ def admissible_site_mask(spec: WeightSpec, window: LatticeWindow) -> tuple:
 
 def random_admissible_field(spec: WeightSpec, window: LatticeWindow, grid: QuadratureRule,
                             rng, support_margin: int = 2) -> SpaceTimeField:
-    """Complex Gaussian sites x smooth inward ramp x polynomial time bump,
-    then exact projection off the inadmissible set."""
-    hard, ramp = admissible_site_mask(spec, window)
-    f = random_tensor_field(window, grid, rng, support_margin=support_margin, site_mask=ramp)
-    f.values[:, ~hard] = 0.0
-    f.dvalues[:, ~hard] = 0.0
-    if f.ddvalues is not None:
-        f.ddvalues[:, ~hard] = 0.0
-    return f
+    """Complex Gaussian sites x smooth inward ramp x polynomial time bump.
+
+    The ramp vanishes off the admissible set, so the field is exactly zero
+    there."""
+    _, ramp = admissible_site_mask(spec, window)
+    return random_tensor_field(window, grid, rng, support_margin=support_margin, site_mask=ramp)
 
 
-def carleman_ratio(spec: WeightSpec, g: SpaceTimeField, support_tol: float = 1e-14) -> float:
+def carleman_ratio(spec: WeightSpec, g: SpaceTimeField, support_tol: float = 1e-14):
     """Smallest admissible constant for this g in the weighted inequality:
 
         sqrt(sinh(2a/R^2)) sinh(2a/(sqrt(d) R)) ||W g|| <= c ||W (i d_t + Delta_d) g||
 
-    returns c_g; weighted norms are evaluated wholly in the log domain.
+    returns c_g (one per trial for a batch of g); weighted norms are evaluated
+    wholly in the log domain.
     """
     window, grid = g.window, g.grid
+    d = window.d
     hard, _ = admissible_site_mask(spec, window)
-    total = np.sum(np.abs(g.values) ** 2)
-    if total == 0.0:
+    total = np.sum(np.abs(g.values) ** 2, axis=tuple(range(-(d + 1), 0)))
+    if np.any(total == 0.0):
         raise SupportViolationError("g vanishes identically")
-    bad = float(np.sum(np.abs(g.values[:, ~hard]) ** 2)) / float(total)
-    if bad > support_tol:
-        raise SupportViolationError(f"relative mass {bad:.3e} outside the admissible set")
-    coords = [window.coordinate(k).astype(float)[np.newaxis, ...] for k in range(window.d)]
-    phi_t = np.asarray(spec.phi.value(grid.nodes)).reshape((len(grid.nodes),) + (1,) * window.d)
-    log_w = weight_log_magnitude(spec, coords, phi_t) + np.zeros((len(grid.nodes),) + window.shape)
-    pg = 1j * g.dvalues + laplacian_values(g.values.astype(complex, copy=True), window.d)
-    from .lattice import weighted_l2
-
-    norm_wg = weighted_l2(g.values, log_w, time_rule=grid)
-    norm_wpg = weighted_l2(pg, log_w, time_rule=grid)
-    if norm_wpg.is_zero:
+    bad = np.sum(np.abs(g.values[..., ~hard]) ** 2, axis=(-2, -1)) / total
+    if np.any(bad > support_tol):
+        raise SupportViolationError(f"relative mass {np.max(bad):.3e} outside the admissible set")
+    coords = [window.coordinate(k).astype(float) for k in range(d)]
+    phi_t = np.asarray(spec.phi.value(grid.nodes)).reshape((len(grid.nodes),) + (1,) * d)
+    log_w = weight_log_magnitude(spec, coords, phi_t)
+    pg = 1j * g.dvalues + laplacian_values(g.values.astype(complex, copy=True), d)
+    log_wg = weighted_log_norm(g.values, log_w, d, grid.weights)
+    log_wpg = weighted_log_norm(pg, log_w, d, grid.weights)
+    if np.any(log_wpg == NEG_INF):
         raise SupportViolationError("(i d_t + Delta_d) g vanishes; ratio undefined")
     factor_log = 0.5 * log_sinh(2.0 * spec.alpha / spec.R**2) + log_sinh(
         2.0 * spec.alpha / (math.sqrt(spec.d) * spec.R))
-    return math.exp(factor_log + norm_wg.log_mag - norm_wpg.log_mag)
+    logs = factor_log + log_wg - log_wpg
+    # math.exp, not np.exp, for the same reason as _each
+    return np.array([math.exp(x) for x in np.ravel(logs).tolist()]).reshape(np.shape(logs))[()]
 
 
 def carleman_constant_batch(spec: WeightSpec, window: LatticeWindow, trials: int, seed: int,
                             n_nodes: int = 24) -> dict:
     """Empirical Carleman constant: max of carleman_ratio over random
-    admissible g."""
+    admissible g; trials whose g vanishes identically are skipped."""
     grid = make_time_grid(n_nodes)
+    _, ramp = admissible_site_mask(spec, window)
+    all_axes = tuple(range(-(window.d + 1), 0))
     ratios = []
-    for trial in range(trials):
-        rng = np.random.default_rng((seed, trial))
-        g = random_admissible_field(spec, window, grid, rng)
-        if np.sum(np.abs(g.values) ** 2) == 0.0:
-            continue
-        ratios.append(carleman_ratio(spec, g))
+    for block in _trial_blocks(trials, grid, window):
+        (g,) = _trial_fields(window, grid, seed, block, support_margin=2, site_mask=ramp)
+        keep = np.sum(np.abs(g.values) ** 2, axis=all_axes) != 0.0
+        if np.any(keep):
+            g = SpaceTimeField(window, grid, g.values[keep], g.dvalues[keep])
+            ratios.extend(carleman_ratio(spec, g).tolist())
     if not ratios:
         raise SupportViolationError("no admissible trial fields were generated")
     return {"c_emp": max(ratios), "ratios": ratios, "trials": trials, "seed": seed,

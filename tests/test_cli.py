@@ -10,14 +10,20 @@ from carleman.fieldio import write_field
 from carleman.lattice import LatticeField, LatticeWindow
 
 # tiny d=2 runs: 100 CN steps on a 21x21 / 25x25 window; the smallest
-# counterexample window (R = margin = 8); threshold-scan is closed-form
+# counterexample window (R = margin = 8); threshold-scan is closed-form; the
+# operator checks on their default d=1 windows with few trials
 RUNS = {
+    "carleman-check": ["--trials", "20"],
+    "commutator-check": ["--trials", "5"],
     "counterexample": ["--R", "8", "--margin", "8"],
     "lambda-scan": ["--d", "2", "--M", "12", "--dt", "1e-2", "--R-list", "4..9"],
     "logconvexity": ["--d", "2", "--M", "10", "--dt", "1e-2", "--L", "1",
                      "--potential", "alternating"],
     "threshold-scan": ["--d", "2", "--R-list", "4..9"],
 }
+# files each run lists in its manifest
+OUTPUT_COUNTS = {"carleman-check": 1, "commutator-check": 1, "counterexample": 5,
+                 "lambda-scan": 2, "logconvexity": 2, "threshold-scan": 2}
 
 
 def run(subcommand, out, capsys):
@@ -34,7 +40,7 @@ def test_subcommand_writes_manifested_reproducible_outputs(subcommand, tmp_path,
     assert len(manifests) == 1
     outputs = json.loads(manifests[0].read_text())["outputs"]
     assert sorted(outputs) == sorted(p.name for p in first.iterdir() if p != manifests[0])
-    assert len(outputs) >= 2
+    assert len(outputs) == OUTPUT_COUNTS[subcommand]
 
     assert run(subcommand, second, capsys)[0] == 0
     for name in outputs:
@@ -187,3 +193,12 @@ def test_hiding_scan_zero_profile_reported_vacuous(tmp_path, capsys):
     assert tsv == "R\talpha\ts\tlog_lhs\tlog_rhs_A\tlog_rhs_B\n"
     report = json.loads((tmp_path / "hiding_scan_0_pinned.json").read_text())
     assert report["min_c"] == [0.0, 0.0, 0.0, 0.0]
+
+
+def test_commutator_check_failing_tolerance_exits_1(tmp_path, capsys):
+    code = main(["commutator-check", "--trials", "5", "--tolerance", "symmetry=1e-30",
+                 "--out", str(tmp_path), "--stamp", "pinned"])
+    assert code == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("FAIL symmetry_skewness: symmetry/skewness defect above 1e-30")
+    assert [line.split()[0] for line in lines[1:]] == ["PASS", "PASS"]

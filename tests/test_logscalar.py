@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from carleman.logscalar import LogScalar, log_add, log_sum, tree_logsumexp
+from carleman.logscalar import LogScalar, log_add, log_sum, tree_logaddexp, tree_logsumexp
 
 finite_floats = st.floats(min_value=-1e300, max_value=1e300,
                           allow_nan=False, allow_infinity=False)
@@ -88,3 +88,12 @@ def test_mul_and_sqrt():
     assert x.sign == -1
     assert x.log_mag == pytest.approx(math.log(12.0), rel=1e-15)
     assert abs(x).sqrt().log_mag == pytest.approx(0.5 * math.log(12.0), rel=1e-15)
+
+
+def test_tree_logaddexp_pads_at_the_end_and_reduces_rows_alone():
+    # 5 terms pad to 8 with -inf after them: ((x0 x1)(x2 x3))((x4 -inf)(-inf -inf))
+    rows = np.random.default_rng(2).normal(size=(8, 5))
+    lae = np.logaddexp
+    for row, out in zip(rows, tree_logaddexp(rows)):
+        assert out == lae(lae(lae(row[0], row[1]), lae(row[2], row[3])), row[4])
+        assert out == tree_logsumexp(row)

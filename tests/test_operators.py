@@ -11,7 +11,7 @@ from carleman.operators import (OperatorCoefficients, SpaceTimeField,
                                 carleman_ratio, commutator_check,
                                 commutator_lhs, commutator_quadratic_form,
                                 conjugation_check, conjugation_oracle,
-                                hiding_inequalities, hiding_sides, inner,
+                                hiding_sides, inner,
                                 log_cosh, log_sinh, make_time_grid,
                                 minimal_hiding_constant, phi_rate_scan,
                                 random_admissible_field, random_tensor_field,
@@ -178,10 +178,8 @@ def test_hiding_reduction_alpha_equals_R_squared():
 
 
 def test_hiding_vacuous_for_constant_phi():
-    spec = WeightSpec.from_rule(10.0, TimeProfile.constant(3.0), 1)
-    report = hiding_inequalities(spec, np.linspace(1.0, 4.0, 50))
-    assert report["all_hold_at_alpha"]
-    assert report["minimal_c"] == 0.0
+    scan = minimal_hiding_constant(1, 10.0, TimeProfile.constant(3.0), np.linspace(1.0, 4.0, 50))
+    assert scan == {"min_c": 0.0, "vacuous": True}
 
 
 def test_minimal_c_nonincreasing_in_R():
