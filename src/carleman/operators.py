@@ -331,12 +331,18 @@ def commutator_lhs(f: SpaceTimeField, co: OperatorCoefficients):
     Coefficient time derivatives are closed-form, so S(Af) uses the exact
     d_t(Af); no finite differencing enters.
     """
+    return _commutator_terms(f, co)[0]
+
+
+def _commutator_terms(f: SpaceTimeField, co: OperatorCoefficients) -> tuple:
+    """(<(SA - AS) f, f>, Sf, Af), so callers that also need Sf and Af do not
+    apply S and A again."""
     af = apply_a(f, co, want_derivative=True)
     saf = apply_s(af, co)
     sf = apply_s(f, co)
     asf = apply_a(sf, co)
     comm = SpaceTimeField(f.window, f.grid, saf.values - asf.values)
-    return np.real(inner(comm, f))
+    return np.real(inner(comm, f)), sf, af
 
 
 def _draw(window: LatticeWindow, rng, t_degree: int = 3) -> tuple:
@@ -456,13 +462,13 @@ def commutator_check(spec: WeightSpec, window: LatticeWindow, trials: int, seed:
     cs_ok = True
     for block in _trial_blocks(trials, grid, window):
         (f,) = _trial_fields(window, grid, seed, block)
-        lhs = commutator_lhs(f, co)
+        lhs, sf, af = _commutator_terms(f, co)
         rhs = commutator_quadratic_form(f, co)
         scale = np.abs(lhs) + f.norm_sq()
         top, trial = _worst(np.abs(lhs - rhs) / scale, block)
         if top > worst_ratio:
             worst_ratio, worst_trial = top, trial
-        total = SpaceTimeField(window, grid, apply_s(f, co).values + apply_a(f, co).values)
+        total = SpaceTimeField(window, grid, sf.values + af.values)
         if np.any(total.norm_sq() < lhs - rel_tolerance * scale):
             cs_ok = False
     params = {"d": spec.d, "R": spec.R, "alpha": spec.alpha, "phi": spec.phi.kind,

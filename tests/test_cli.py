@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -113,7 +114,7 @@ def test_lambda_scan_with_empty_rings_reported_vacuous(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [["lambda-scan", "--M", "x"],
                                   ["logconvexity", "--L", "one"],
-                                  ["lambda-scan", "--tolerance", "bad"]])
+                                  ["kbessel", "--tolerance", "bad"]])
 def test_bad_flag_value_exits_2(argv, tmp_path, capsys):
     assert main([*argv, "--out", str(tmp_path)]) == 2
 
@@ -202,3 +203,120 @@ def test_commutator_check_failing_tolerance_exits_1(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("FAIL symmetry_skewness: symmetry/skewness defect above 1e-30")
     assert [line.split()[0] for line in lines[1:]] == ["PASS", "PASS"]
+
+
+@pytest.mark.parametrize("argv", [["kbessel", "--M", "3"],
+                                  ["report", "--stamp", "pinned"],
+                                  ["hiding-scan", "--R", "10"]])  # no prefix of --R-list
+def test_flag_the_subcommand_does_not_read_exits_2(argv, tmp_path, capsys):
+    assert main([*argv, "--out", str(tmp_path)]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["commutator-check", "--tolerance", "symetry=1e-30"], "unknown tolerance 'symetry'"),
+    (["carleman-check", "--alpha", "0"], "bad value for alpha"),
+    (["carleman-check", "--alpha", "-1"], "bad value for alpha"),
+    (["verify-counterexample"], "--field-from is required"),
+])
+def test_config_error_exits_2(argv, message, tmp_path, capsys):
+    assert main([*argv, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
+
+
+def test_help_shows_derived_and_tolerance_defaults(capsys):
+    assert main(["commutator-check", "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "window half-width (default: int(R)+4)" in text
+    assert "(default: symmetry=1e-09, commutator=1e-08, conjugation=1e-09)" in text
+
+
+def manifest_of(subcommand, out, *flags):
+    assert main([subcommand, *flags, "--out", str(out), "--stamp", "pinned"]) == 0
+    return json.loads((out / f"manifest_{subcommand}_0_pinned.json").read_text())
+
+
+def test_manifest_holds_resolved_parameters(tmp_path, capsys):
+    plain = manifest_of("kbessel", tmp_path / "a")
+    assert plain["config"] == {"mu": 1.0, "out": str(tmp_path / "a"), "seed": 0,
+                               "stamp": "pinned", "tolerance": {"kbessel": 1e-8}}
+    explicit = manifest_of("kbessel", tmp_path / "b", "--mu", "1.0",
+                           "--tolerance", "kbessel=1e-8")
+    assert explicit["input_hash"] == plain["input_hash"]
+    assert manifest_of("kbessel", tmp_path / "c", "--mu", "1.1")["input_hash"] != \
+        plain["input_hash"]
+
+
+@pytest.mark.parametrize("subcommand, flags, derived", [
+    ("carleman-check", ["--R", "6", "--trials", "5"], {"M": 14, "alpha": 12 * math.log(6)}),
+    ("carleman-check", ["--R", "6", "--trials", "5", "--alpha", "3"], {"M": 14, "alpha": 3.0}),
+    ("commutator-check", ["--R", "6", "--trials", "5"], {"M": 10}),
+    ("counterexample", ["--R", "8.5"], {"R": 8, "margin": 60}),
+])
+def test_derived_defaults(subcommand, flags, derived, tmp_path, capsys):
+    config = manifest_of(subcommand, tmp_path, *flags)["config"]
+    assert {k: config[k] for k in derived} == derived
+
+
+def test_config_file_sets_values_and_flags_override_it(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"R_list": "8..9", "margin": 9}))
+    config = manifest_of("potential-scan", tmp_path / "a", "--config", str(path))["config"]
+    assert (config["R_list"], config["margin"]) == ([8.0, 9.0], 9)
+    config = manifest_of("potential-scan", tmp_path / "b", "--config", str(path),
+                         "--margin", "10")["config"]
+    assert (config["R_list"], config["margin"]) == ([8.0, 9.0], 10)
+
+
+def test_config_file_tolerance_and_flag_override(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"trials": 5, "tolerance": ["symmetry=1e-30"]}))
+    argv = ["commutator-check", "--config", str(path), "--out", str(tmp_path)]
+    assert main(argv) == 1
+    assert capsys.readouterr().out.startswith("FAIL symmetry_skewness: ")
+    assert main([*argv, "--tolerance", "symmetry=1e-9"]) == 0
+
+
+@pytest.mark.parametrize("config", [{"n_nodes": 10},             # undeclared key
+                                    {"tolerance": ["kbessel=1"]},  # no tolerances here
+                                    {"margin": "nine"},            # bad values
+                                    {"R_list": [8, 9]},
+                                    {"mode": "paper"},
+                                    [8, 9]])                       # not an object
+def test_bad_config_file_exits_2(config, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["potential-scan", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
+def test_normstar_small_j_max(tmp_path, capsys):
+    assert manifest_of("normstar", tmp_path, "--j-max", "200")["outputs"] == \
+        ["normstar_0_pinned.json"]
+    assert capsys.readouterr().out.startswith("PASS normstar: d=2 sup 1.000000 inf 0.753122 ")
+    report = json.loads((tmp_path / "normstar_0_pinned.json").read_text())
+    assert (report["d"], report["j_max"], report["arg_inf"]) == (2, 200, [200, 200])
+    # the infimum sits on the diagonal corner: |j| log(|j|+1) / (2 * 200 log 201)
+    r = math.hypot(200, 200)
+    assert report["inf_ratio"] == pytest.approx(r * math.log1p(r) / (400 * math.log(201)),
+                                                rel=1e-12)
+
+
+def test_kbessel(tmp_path, capsys):
+    assert manifest_of("kbessel", tmp_path)["outputs"] == ["kbessel_0_pinned.json"]
+    assert capsys.readouterr().out.startswith("PASS kbessel: max identity defect ")
+    report = json.loads((tmp_path / "kbessel_0_pinned.json").read_text())
+    assert report["max_defect"] < 1e-8
+    assert abs(report["growth_exponent"] - 1.0) <= 0.1
+
+
+def test_report_lists_outputs_and_flags_missing_ones(tmp_path, capsys):
+    assert run("threshold-scan", tmp_path, capsys)[0] == 0
+    assert main(["report", "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "threshold-scan seed=0 (manifest_threshold-scan_0_pinned.json)",
+        "  threshold_scan_0_pinned.json: present",
+        "  threshold_scan_0_pinned.tsv: present"]
+    (tmp_path / "threshold_scan_0_pinned.tsv").unlink()
+    assert main(["report", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().out.splitlines()[2] == "  threshold_scan_0_pinned.tsv: MISSING"

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from carleman import operators
 from carleman.errors import SupportViolationError
 from carleman.lattice import LatticeWindow, laplacian_values
 from carleman.operators import (OperatorCoefficients, SpaceTimeField,
@@ -160,6 +161,26 @@ def test_commutator_check_api():
     report = commutator_check(spec, LatticeWindow(1, 10), trials=6, seed=2, n_nodes=16)
     assert report["identity"]["pass"]
     assert report["lower_bound"]["pass"]
+
+
+def test_commutator_check_applies_s_and_a_twice_per_block(monkeypatch):
+    # the Cauchy-Schwarz bound reuses the Sf and Af of the commutator form
+    calls = {"s": 0, "a": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(operators, "apply_s", counted("s", apply_s))
+    monkeypatch.setattr(operators, "apply_a", counted("a", apply_a))
+    spec = WeightSpec.from_rule(10.0, TimeProfile.paper(), 1)
+    window = LatticeWindow(1, 14)
+    commutator_check(spec, window, trials=50, seed=0)
+    blocks = len(operators._trial_blocks(50, make_time_grid(), window))
+    assert blocks == 3
+    assert calls == {"s": 2 * blocks, "a": 2 * blocks}
 
 
 # --- hiding inequalities and the absorption threshold ---------------------
