@@ -17,7 +17,12 @@ flag, with config and flag values cast by the table; a default computed from
 other parameters (_Derived) is evaluated after them.  The bodies receive the
 resolved values and hold no defaults, and the manifest's config is the full
 resolved parameter set, so its input_hash is the same for a flag that equals
-its default and for no flag at all.
+its default and for no flag at all.  A parameter that the chosen mode never
+reads (_UNREAD_IN_MODE: the evolution and datum flags of lambda-scan
+--field-from, the tolerance of logconvexity at L > 0) is a config error when
+set by flag or config, rather than a silent change of input_hash.  The
+evolving subcommands record the CN solver stats, norm drift and boundary mass
+in their manifest's stats.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from . import counterexample as ce
 from . import experiments as xp
 from .errors import (CarlemanError, ConfigError, ExactRangeError, NonFiniteError,
                      SolverDivergenceError, ToleranceExceededError)
-from .evolution import (EvolutionConfig, evolve, make_decaying_datum,
+from .evolution import (EvolutionConfig, Trajectory, evolve, make_decaying_datum,
                         normalize_observation)
 from .fieldio import read_field, write_field, write_trajectory
 from .lattice import LatticeField, LatticeWindow, Potential
@@ -197,6 +202,16 @@ _SUBCOMMANDS = {
 }
 
 
+# subcommand -> (test on the resolved parameters, the mode it names, the
+# parameters that mode never reads): setting one of them explicitly, by flag
+# or config, in that mode is a config error
+_UNREAD_IN_MODE = {
+    "lambda-scan": (lambda p: p["field_from"] is not None, "--field-from",
+                    ("d", "M", "dt", "T", "potential", "store_every", "datum", "mu")),
+    "logconvexity": (lambda p: p["L"] > 0, "--L > 0", ("tolerance",)),
+}
+
+
 def _shown(value) -> str:
     if isinstance(value, tuple):
         return ",".join(repr(x) for x in value)
@@ -263,6 +278,11 @@ def _resolve(subcommand: str, args: dict) -> dict:
         if not isinstance(from_cfg, list):
             raise ConfigError("config key tolerance wants a list of NAME=VALUE strings")
         out["tolerance"] = _tolerances(tol_defaults, [*from_cfg, *args.get("tolerance", [])])
+    if subcommand in _UNREAD_IN_MODE:
+        in_mode, mode, unread = _UNREAD_IN_MODE[subcommand]
+        ignored = ["--" + key.replace("_", "-") for key in unread if key in given]
+        if ignored and in_mode(out):
+            raise ConfigError(f"{mode} does not read {', '.join(ignored)}")
     return out
 
 
@@ -281,14 +301,20 @@ def _tolerances(defaults: dict, items: list) -> dict:
     return out
 
 
-def _evolution(p, datum: tuple) -> tuple:
-    """(EvolutionConfig, initial datum) from the _evolution_params values."""
+def _evolved(p, datum: tuple, manifest: RunManifest) -> Trajectory:
+    """The datum evolved under the _evolution_params values.  The manifest's
+    stats get the CN solver stats, the norm drift and the boundary mass with
+    its flag."""
     window = LatticeWindow(p.d, p.M)
     potential = (Potential.alternating(window, amplitude=p.L if p.L > 0 else 1.0)
                  if p.potential == "alternating" else Potential.zero(window))
     cfg = EvolutionConfig(dt=p.dt, T=p.T, window=window, potential=potential,
                           store_every=p.store_every)
-    return cfg, make_decaying_datum(window, datum)
+    traj = evolve(make_decaying_datum(window, datum), cfg)
+    boundary = traj.boundary_mass()
+    manifest.stats = {**traj.solver_stats, "norm_drift": traj.norm_drift(),
+                      "boundary_mass": boundary, "boundary_mass_flag": boundary > 1e-12}
+    return traj
 
 
 def _emit(lines, ok: bool, check: str, detail: str):
@@ -309,16 +335,12 @@ def _vacuous(lines, check: str, reason: str) -> bool:
 
 
 def _run_evolve(p, manifest: RunManifest, lines: list) -> bool:
-    cfg, datum = _evolution(p, (p.datum, p.mu))
-    traj = evolve(datum, cfg)
+    traj = _evolved(p, (p.datum, p.mu), manifest)
     traj_dir = Path(p.out) / f"evolve_{p.seed}_{p.stamp}"
     manifest.add(*write_trajectory(traj_dir, traj))
-    drift = traj.norm_drift()
-    boundary = traj.boundary_mass()
-    manifest.stats = {**traj.solver_stats, "norm_drift": drift, "boundary_mass": boundary,
-                      "boundary_mass_flag": boundary > 1e-12}
+    drift = manifest.stats["norm_drift"]
     return _emit(lines, drift < 1e-10, "norm_conservation",
-                 f"max drift {drift:.3e} over {cfg.n_steps} steps")
+                 f"max drift {drift:.3e} over {traj.config.n_steps} steps")
 
 
 def _run_carleman_check(p, manifest: RunManifest, lines: list) -> bool:
@@ -410,8 +432,7 @@ def _run_lambda_scan(p, manifest: RunManifest, lines: list) -> bool:
             raise ConfigError("lambda-scan --field-from wants a single-slice field")
         source = LatticeField(window, values.astype(complex))
     else:
-        ecfg, datum = _evolution(p, (p.datum, p.mu))
-        source = normalize_observation(evolve(datum, ecfg))
+        source = normalize_observation(_evolved(p, (p.datum, p.mu), manifest))
     scan = xp.lambda_scan(source, cfg)
     rows = [(r.R, r.log_lambda, r.alpha, r.log_lhs_growth, r.pass_absorption, r.boundary_mass)
             for r in scan["rows"]]
@@ -431,8 +452,7 @@ def _run_lambda_scan(p, manifest: RunManifest, lines: list) -> bool:
 
 
 def _run_logconvexity(p, manifest: RunManifest, lines: list) -> bool:
-    ecfg, datum = _evolution(p, ("delta",))
-    traj = evolve(datum, ecfg)
+    traj = _evolved(p, ("delta",), manifest)
     cfg = xp.ExperimentConfig(L=p.L)
     check = xp.log_convexity_check(traj, xp.beta_grid(p.beta_max, p.d), cfg)
     rows = [(",".join(repr(b) for b in r["beta"]), r["t"], r["log_rho"]) for r in check["rows"]]

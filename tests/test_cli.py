@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -77,13 +81,31 @@ def test_evolve_manifest_records_solver_stats_and_boundary_flag(flags, flagged, 
                                                                 capsys):
     assert run_evolve(tmp_path, *flags) == 0
     stats = json.loads((tmp_path / "manifest_evolve_0_pinned.json").read_text())["stats"]
-    assert sorted(stats) == ["boundary_mass", "boundary_mass_flag", "max_relative_residual",
-                             "norm_drift", "refinement_solves"]
+    assert sorted(stats) == ["block_steps", "boundary_mass", "boundary_mass_flag",
+                             "max_relative_residual", "norm_drift", "refinement_solves"]
     assert stats["refinement_solves"] == 0
     assert 0.0 < stats["max_relative_residual"] <= 1e-12
     assert stats["norm_drift"] < 1e-10
     assert stats["boundary_mass_flag"] is flagged
     assert (stats["boundary_mass"] > 1e-12) is flagged
+
+
+@pytest.mark.parametrize("subcommand, flags, block_steps", [
+    ("lambda-scan", ["--M", "20", "--dt", "1e-2", "--R-list", "4..9"], 5),  # d = 1 blocks
+    ("lambda-scan", RUNS["lambda-scan"], 1),
+    ("logconvexity", ["--M", "20", "--dt", "1e-2"], 10),
+    ("logconvexity", RUNS["logconvexity"], 1),
+])
+def test_evolving_subcommands_record_solver_stats(subcommand, flags, block_steps, tmp_path,
+                                                  capsys):
+    stats = manifest_of(subcommand, tmp_path, *flags)["stats"]
+    assert sorted(stats) == ["block_steps", "boundary_mass", "boundary_mass_flag",
+                             "max_relative_residual", "norm_drift", "refinement_solves"]
+    assert stats["block_steps"] == block_steps
+    assert stats["refinement_solves"] == 0
+    assert 0.0 < stats["max_relative_residual"] <= 1e-12
+    assert stats["norm_drift"] < 1e-10
+    assert stats["boundary_mass_flag"] is (stats["boundary_mass"] > 1e-12)
 
 
 def test_manifest_without_stats_has_no_stats_key(tmp_path, capsys):
@@ -224,6 +246,37 @@ def test_config_error_exits_2(argv, message, tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"config error: {message}")
 
 
+@pytest.mark.parametrize("flags", [["--M", "3", "--dt", "0.5"], ["--d", "2"], ["--M", "12"],
+                                   ["--dt", "1e-2"], ["--T", "0.5"],
+                                   ["--potential", "alternating"], ["--store-every", "2"],
+                                   ["--datum", "gaussian"], ["--mu", "2"]])
+def test_lambda_scan_field_from_rejects_evolution_flags(flags, tmp_path, capsys):
+    field = write_field(tmp_path / "delta.bin", LatticeField.delta(LatticeWindow(2, 12)))[0]
+    argv = ["lambda-scan", "--field-from", str(field), "--R-list", "4..9",
+            "--out", str(tmp_path / "out")]
+    assert main([*argv, *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --field-from does not read ")
+    assert flags[0] in err
+    path = tmp_path / "config.json"  # a config file sets them explicitly too
+    path.write_text(json.dumps({flags[0][2:].replace("-", "_"): flags[1]}))
+    assert main([*argv, "--config", str(path)]) == 2
+    assert main(argv) == 0  # the same scan without them
+
+
+def test_logconvexity_tolerance_unread_at_positive_l_exits_2(tmp_path, capsys):
+    flags = [*RUNS["logconvexity"], "--out", str(tmp_path)]
+    assert main(["logconvexity", *flags, "--tolerance", "logconvexity=-1"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: --L > 0 does not read --tolerance")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"tolerance": ["logconvexity=-1"]}))
+    assert main(["logconvexity", *flags, "--config", str(path)]) == 2
+    # at L = 0 the tolerance is the free-evolution gate: -1 fails it
+    assert main(["logconvexity", "--d", "2", "--M", "10", "--dt", "1e-2", "--out",
+                 str(tmp_path), "--tolerance", "logconvexity=-1"]) == 1
+
+
 def test_help_shows_derived_and_tolerance_defaults(capsys):
     assert main(["commutator-check", "--help"]) == 0
     text = " ".join(capsys.readouterr().out.split())
@@ -320,3 +373,16 @@ def test_report_lists_outputs_and_flags_missing_ones(tmp_path, capsys):
     (tmp_path / "threshold_scan_0_pinned.tsv").unlink()
     assert main(["report", "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().out.splitlines()[2] == "  threshold_scan_0_pinned.tsv: MISSING"
+
+
+def test_import_cli_leaves_scipy_unimported():
+    # scipy is imported when a stepper is built, not by the subcommands that
+    # never evolve
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    probe = ("import sys, carleman.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                            text=True, timeout=60, check=True)
+    assert result.stdout.strip() == "[]"
