@@ -17,7 +17,7 @@ from .bessel import bessel_k, weighted_cosh_integral
 from .evolution import Trajectory
 from .fitting import best_model, fit_decay
 from .lattice import (LatticeField, boundary_mass_fraction, log_abs_sq,
-                      radial_log_sums, ring_masses)
+                      radial_log_sums, ring_masses, star_log_weight)
 from .logscalar import NEG_INF, LogScalar, logsumexp
 from .operators import log_sinh
 
@@ -194,7 +194,7 @@ def log_convexity_stability(traj: Trajectory, beta_max: float, cfg: ExperimentCo
 def synthetic_star_decay_field(window, mu: float) -> LatticeField:
     """u_j = e^{-mu |j| log(|j|+1)}, the frozen-in-time threshold profile."""
     r = np.sqrt(window.radius_sq)
-    log_vals = -mu * r * np.log(r + 1.0)
+    log_vals = star_log_weight(r, -mu)
     vals = np.where(log_vals >= -745.0, np.exp(np.maximum(log_vals, -745.0)), 0.0)
     return LatticeField.from_values(window, vals)
 
@@ -246,7 +246,7 @@ def star_weight_sup_log_rho(traj: Trajectory, mu_grid) -> np.ndarray:
     inner = np.array([radial_log_sums(window, log_abs_sq(traj.values[i]))[1]
                       for i in _interior_indices(traj)])
     r = np.sqrt(r_sq)
-    w = 2.0 * np.asarray(mu_grid, dtype=float)[:, None] * r * np.log(r + 1.0)
+    w = star_log_weight(r, 2.0 * np.asarray(mu_grid, dtype=float)[:, None])
     den = logsumexp(w + np.logaddexp(first, last))
     num = logsumexp(w[:, None, :] + inner)
     return np.max(num - den[:, None], axis=1)

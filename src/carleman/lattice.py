@@ -58,6 +58,19 @@ class LatticeWindow:
         return out
 
     @cached_property
+    def inf_norm(self) -> np.ndarray:
+        """max_k |j_k| per site."""
+        out = np.zeros(self.shape, dtype=int)
+        for k in range(self.d):
+            out = np.maximum(out, np.abs(self.coordinate(k)))
+        return out
+
+    @property
+    def boundary_shell(self) -> np.ndarray:
+        """Mask of the outer shell max_k |j_k| > M-2."""
+        return self.inf_norm > self.M - 2
+
+    @cached_property
     def radial_bins(self) -> tuple:
         """Sites grouped by integer |j|^2: (flat site order sorted by |j|^2,
         the distinct |j|^2 values, the start of each group in that order, the
@@ -249,13 +262,16 @@ def boundary_mass_fraction(values: np.ndarray, window: LatticeWindow) -> float:
     Reported with every experiment; runs above 1e-12 * ||u||^2 are flagged so
     window-truncation error is visible instead of silent.
     """
-    inf_norm = np.zeros(window.shape)
-    for k in range(window.d):
-        inf_norm = np.maximum(inf_norm, np.abs(window.coordinate(k)))
-    shell = inf_norm > window.M - 2
     mag_sq = np.abs(values) ** 2
     total = float(np.sum(mag_sq))
     if total == 0.0:
         return 0.0
+    shell = window.boundary_shell
     shell_mass = mag_sq[..., shell] if values.ndim > window.d else mag_sq[shell]
     return float(np.sum(shell_mass)) / total
+
+
+def star_log_weight(r, rate):
+    """rate * r log(r + 1): the log of the e^{-mu |j| log(|j|+1)} decay profile
+    at rate = -mu, and of its inverse weight at rate = 2 mu'."""
+    return rate * r * np.log(r + 1.0)

@@ -363,10 +363,7 @@ def _tensor_field(window: LatticeWindow, grid: QuadratureRule, psi: np.ndarray, 
     (*trials, *window.shape), zeroed in place within support_margin of the
     window edge and then multiplied by site_mask when given.
     """
-    inf_norm = np.zeros(window.shape)
-    for k in range(window.d):
-        inf_norm = np.maximum(inf_norm, np.abs(window.coordinate(k)))
-    h[..., inf_norm > window.M - support_margin] = 0.0
+    h[..., window.inf_norm > window.M - support_margin] = 0.0
     if site_mask is not None:
         h = h * site_mask
     h = np.expand_dims(h, -(window.d + 1))

@@ -98,8 +98,9 @@ class RunManifest:
         self.stats: dict | None = None
 
     def add(self, *paths):
+        """Record output files by their path relative to the run's ``out``."""
         for p in paths:
-            self.outputs.append(str(Path(p).name))
+            self.outputs.append(Path(p).relative_to(self.config["out"]).as_posix())
 
     def write(self, out_dir, stamp: str) -> Path:
         doc = {

@@ -64,13 +64,24 @@ def test_evolve_writes_manifested_reproducible_trajectory(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("PASS norm_conservation: max drift ")
     outputs = json.loads((first / "manifest_evolve_0_pinned.json").read_text())["outputs"]
     traj_dir = first / "evolve_0_pinned"
-    assert sorted(outputs) == sorted(p.name for p in traj_dir.iterdir())
-    assert "trajectory_00002.bin" in outputs  # t = 0, 0.5, 1
+    assert sorted(outputs) == sorted(f"evolve_0_pinned/{p.name}" for p in traj_dir.iterdir())
+    assert "evolve_0_pinned/trajectory_00002.bin" in outputs  # t = 0, 0.5, 1
 
     assert run_evolve(second, "--d", "2", "--M", "10") == 0
     for name in outputs:
-        assert ((traj_dir / name).read_bytes()
-                == (second / "evolve_0_pinned" / name).read_bytes()), name
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+
+def test_report_finds_evolve_outputs_in_their_directory(tmp_path, capsys):
+    assert run_evolve(tmp_path, "--d", "2", "--M", "10") == 0
+    capsys.readouterr()
+    assert main(["report", "--out", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "  evolve_0_pinned/trajectory_00002.bin: present" in lines
+    (tmp_path / "evolve_0_pinned" / "trajectory_00001.bin").unlink()
+    assert main(["report", "--out", str(tmp_path)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "  evolve_0_pinned/trajectory_00001.bin: MISSING" in lines
 
 
 @pytest.mark.parametrize("flags, flagged", [
@@ -81,8 +92,9 @@ def test_evolve_manifest_records_solver_stats_and_boundary_flag(flags, flagged, 
                                                                 capsys):
     assert run_evolve(tmp_path, *flags) == 0
     stats = json.loads((tmp_path / "manifest_evolve_0_pinned.json").read_text())["stats"]
-    assert sorted(stats) == ["block_steps", "boundary_mass", "boundary_mass_flag",
+    assert sorted(stats) == ["block_steps", "boundary_mass", "boundary_mass_flag", "folded_axes",
                              "max_relative_residual", "norm_drift", "refinement_solves"]
+    assert stats["folded_axes"] == ([0, 1] if flags[1] == "2" else [])  # the fold is for d >= 2
     assert stats["refinement_solves"] == 0
     assert 0.0 < stats["max_relative_residual"] <= 1e-12
     assert stats["norm_drift"] < 1e-10
@@ -99,9 +111,10 @@ def test_evolve_manifest_records_solver_stats_and_boundary_flag(flags, flagged, 
 def test_evolving_subcommands_record_solver_stats(subcommand, flags, block_steps, tmp_path,
                                                   capsys):
     stats = manifest_of(subcommand, tmp_path, *flags)["stats"]
-    assert sorted(stats) == ["block_steps", "boundary_mass", "boundary_mass_flag",
+    assert sorted(stats) == ["block_steps", "boundary_mass", "boundary_mass_flag", "folded_axes",
                              "max_relative_residual", "norm_drift", "refinement_solves"]
     assert stats["block_steps"] == block_steps
+    assert stats["folded_axes"] == ([0, 1] if "--d" in flags else [])  # the fold is for d >= 2
     assert stats["refinement_solves"] == 0
     assert 0.0 < stats["max_relative_residual"] <= 1e-12
     assert stats["norm_drift"] < 1e-10

@@ -8,7 +8,37 @@ from carleman.errors import SolverDivergenceError, ZeroObservationError
 from carleman.evolution import (EvolutionConfig, Stepper, evolve,
                                 laplacian_matrix, make_decaying_datum,
                                 normalize_observation, observation_integral)
-from carleman.lattice import LatticeField, LatticeWindow, Potential
+from carleman.lattice import LatticeField, LatticeWindow, Potential, boundary_mass_fraction
+
+
+def dense_cn_oracle(u0, cfg):
+    """The CN recurrence with dense LAPACK solves (one LU factor of A, as
+    gesv would compute it) on the full window, at the stored nodes of cfg."""
+    from scipy.linalg import lu_factor, lu_solve
+
+    window, potential = cfg.window, cfg.potential
+    n = 2 * window.M + 1
+    lap1 = -2.0 * np.eye(n) + np.eye(n, k=1) + np.eye(n, k=-1)
+    H = np.diag(potential.values.ravel()).astype(complex)
+    for k in range(window.d):
+        H += np.kron(np.kron(np.eye(n ** k), lap1), np.eye(n ** (window.d - 1 - k)))
+    A = np.eye(n ** window.d) - 0.5j * cfg.dt * H
+    B = np.eye(n ** window.d) + 0.5j * cfg.dt * H
+    lu = lu_factor(A)
+    u = u0.values.ravel().astype(complex)
+    out = [u]
+    for step in range(1, cfg.n_steps + 1):
+        u = lu_solve(lu, B @ u)
+        if step % cfg.store_every == 0 or step == cfg.n_steps:
+            out.append(u)
+    return np.array(out).reshape((len(out),) + window.shape)
+
+
+def max_log_deviation(values, oracle):
+    """max |d log|u|| over the nonzero sites, after checking the zero pattern."""
+    assert np.array_equal(values == 0, oracle == 0)
+    nz = oracle != 0
+    return float(np.max(np.abs(np.log(np.abs(values[nz])) - np.log(np.abs(oracle[nz])))))
 
 
 def free_config(M=24, dt=2e-3, store_every=1, d=1):
@@ -202,24 +232,36 @@ def test_tail_matches_dense_solve_oracle():
     potential = Potential.alternating(window)
     cfg = EvolutionConfig(dt=1e-2, T=0.2, window=window, potential=potential)
     traj = evolve(LatticeField.delta(window), cfg)
+    oracle = dense_cn_oracle(LatticeField.delta(window), cfg)
+    assert np.min(np.abs(oracle[oracle != 0])) < 1e-26
+    assert max_log_deviation(traj.values, oracle) < 1e-10
 
-    n = 2 * window.M + 1
-    lap1 = -2.0 * np.eye(n) + np.eye(n, k=1) + np.eye(n, k=-1)
-    H = np.kron(lap1, np.eye(n)) + np.kron(np.eye(n), lap1) + np.diag(potential.values.ravel())
-    A = np.eye(n * n) - 0.5j * cfg.dt * H
-    B = np.eye(n * n) + 0.5j * cfg.dt * H
-    u = LatticeField.delta(window).values.ravel().astype(complex)
-    oracle = [u]
-    for _ in range(cfg.n_steps):
-        u = np.linalg.solve(A, B @ u)
-        oracle.append(u)
-    oracle = np.array(oracle).reshape(traj.values.shape)
 
-    assert np.array_equal(traj.values == 0, oracle == 0)
-    nz = oracle != 0
-    assert np.min(np.abs(oracle[nz])) < 1e-26
-    log_dev = np.abs(np.log(np.abs(traj.values[nz])) - np.log(np.abs(oracle[nz])))
-    assert np.max(log_dev) < 1e-10
+def test_off_centre_delta_folds_one_axis_and_matches_dense_oracle():
+    # a delta at j = (1, 0) is even in j_2 only: the steps run on 21 x 11 sites
+    window = LatticeWindow(2, 10)
+    cfg = EvolutionConfig(dt=1e-2, T=0.2, window=window, potential=Potential.alternating(window))
+    u0 = LatticeField.delta(window, [1, 0])
+    traj = evolve(u0, cfg)
+    assert traj.solver_stats["folded_axes"] == [1]
+    oracle = dense_cn_oracle(u0, cfg)
+    assert np.min(np.abs(oracle[oracle != 0])) < 1e-26
+    assert max_log_deviation(traj.values, oracle) < 1e-10
+
+
+def test_bessel_like_d2_matches_dense_oracle():
+    # measured max |d log|u|| against this oracle at these nodes: 4.5e-11
+    # folded and 7.0e-11 for the unfolded stepper, in the corner where |u| is
+    # near 2e-28; at M = 24 both reach 9e-8 at |u| near 2e-47
+    window = LatticeWindow(2, 16)
+    cfg = EvolutionConfig(dt=1e-2, T=1.0, window=window, potential=Potential.alternating(window),
+                          store_every=10)
+    u0 = make_decaying_datum(window, ("bessel_like", 1.0))
+    traj = evolve(u0, cfg)
+    assert traj.solver_stats["folded_axes"] == [0, 1]
+    oracle = dense_cn_oracle(u0, cfg)
+    assert np.min(np.abs(oracle[oracle != 0])) < 1e-30
+    assert max_log_deviation(traj.values, oracle) <= 1e-9
 
 
 def test_refinement_solves_counted_then_bounded():
@@ -284,25 +326,30 @@ def test_d1_blocks_match_dense_solve_oracle():
     cfg = EvolutionConfig(dt=1e-2, T=1.0, window=window, potential=potential, store_every=37)
     traj = evolve(LatticeField.delta(window), cfg)
     assert traj.solver_stats["block_steps"] == 16
-
-    n = 2 * window.M + 1
-    H = -2.0 * np.eye(n) + np.eye(n, k=1) + np.eye(n, k=-1) + np.diag(potential.values)
-    A = np.eye(n) - 0.5j * cfg.dt * H
-    B = np.eye(n) + 0.5j * cfg.dt * H
-    u = LatticeField.delta(window).values.astype(complex)
-    oracle = [u]
-    for step in range(1, cfg.n_steps + 1):
-        u = np.linalg.solve(A, B @ u)
-        if step % cfg.store_every == 0 or step == cfg.n_steps:
-            oracle.append(u)
-    oracle = np.array(oracle)
-
+    assert traj.solver_stats["folded_axes"] == []  # the fold is for d >= 2
+    oracle = dense_cn_oracle(LatticeField.delta(window), cfg)
     assert traj.n_stored == len(oracle) == 4
-    assert np.array_equal(traj.values == 0, oracle == 0)
-    nz = oracle != 0
-    assert np.min(np.abs(oracle[nz])) < 1e-50
-    log_dev = np.abs(np.log(np.abs(traj.values[nz])) - np.log(np.abs(oracle[nz])))
-    assert np.max(log_dev) <= 1e-10
+    assert np.min(np.abs(oracle[oracle != 0])) < 1e-50
+    assert max_log_deviation(traj.values, oracle) <= 1e-10
+
+
+def per_step_loop(u0, cfg, folded):
+    """evolve's stored nodes from a plain loop of one-step solves on the
+    quotient of the folded axes, unfolded by |j_k|."""
+    window = cfg.window
+    stepper = Stepper(window, cfg.potential, cfg.dt, folded=folded)
+    keep = tuple(slice(window.M, None) if k in folded else slice(None) for k in range(window.d))
+    quotient = u0.values[keep]
+    u = quotient.ravel().astype(complex)
+    Au = stepper.A @ u
+    nodes = [u]
+    for step in range(1, cfg.n_steps + 1):
+        u, Au = stepper.step(u, Au)
+        if step % cfg.store_every == 0 or step == cfg.n_steps:
+            nodes.append(u)
+    index = np.ix_(*(np.abs(window.axes) if k in folded else np.arange(2 * window.M + 1)
+                     for k in range(window.d)))
+    return np.array([q.reshape(quotient.shape)[index] for q in nodes])
 
 
 def test_d2_evolve_is_the_per_step_loop_bit_for_bit():
@@ -311,16 +358,64 @@ def test_d2_evolve_is_the_per_step_loop_bit_for_bit():
                           potential=Potential.alternating(window), store_every=3)
     traj = evolve(LatticeField.delta(window), cfg)
     assert traj.solver_stats["block_steps"] == 1
+    assert traj.solver_stats["folded_axes"] == [0, 1]
+    assert np.array_equal(traj.values, per_step_loop(LatticeField.delta(window), cfg, (0, 1)))
 
-    stepper = Stepper(window, cfg.potential, cfg.dt)
-    u = LatticeField.delta(window).values.ravel().astype(complex)
-    Au = stepper.A @ u
-    expected = [u]
-    for step in range(1, cfg.n_steps + 1):
-        u, Au = stepper.step(u, Au)
-        if step % cfg.store_every == 0 or step == cfg.n_steps:
-            expected.append(u)
-    assert np.array_equal(traj.values, np.array(expected).reshape(traj.values.shape))
+
+@pytest.mark.parametrize("case, folded", [("random_datum", ()), ("ramp_potential", (1,))])
+def test_uneven_axes_stay_unfolded(case, folded):
+    # an axis folds only when the datum and the potential are both even on
+    # it: a random datum folds nothing, and a potential 0.1 j_1 keeps the
+    # delta's axis 0 unfolded; evolve is then the per-step loop bit for bit
+    window = LatticeWindow(2, 8)
+    potential = Potential.alternating(window)
+    u0 = LatticeField.delta(window)
+    if case == "random_datum":
+        rng = np.random.default_rng(3)
+        vals = rng.standard_normal(window.shape) + 1j * rng.standard_normal(window.shape)
+        u0 = LatticeField.from_values(window, vals / np.linalg.norm(vals))
+    else:
+        potential = Potential(window, 0.1 * window.coordinate(0) + np.zeros(window.shape))
+    cfg = EvolutionConfig(dt=1e-2, T=0.2, window=window, potential=potential, store_every=3)
+    traj = evolve(u0, cfg)
+    assert traj.solver_stats["folded_axes"] == list(folded)
+    assert np.array_equal(traj.values, per_step_loop(u0, cfg, folded))
+
+
+def test_folded_laplacian_is_the_window_laplacian_on_even_fields():
+    # the quotient matrix applied to the sites j_k >= 0 of a field even in the
+    # folded axes gives the window Laplacian there, up to summation order
+    rng = np.random.default_rng(4)
+    for d, M, folded in ((1, 6, (0,)), (2, 5, (1,)), (2, 5, (0, 1)), (3, 3, (0, 2))):
+        window = LatticeWindow(d, M)
+        vals = rng.standard_normal(window.shape) + 1j * rng.standard_normal(window.shape)
+        for k in folded:
+            vals = vals + np.flip(vals, k)
+        keep = tuple(slice(M, None) if k in folded else slice(None) for k in range(d))
+        full = (laplacian_matrix(window) @ vals.ravel()).reshape(window.shape)[keep]
+        quotient = laplacian_matrix(window, folded) @ vals[keep].ravel()
+        assert np.max(np.abs(quotient - full.ravel())) < 1e-13
+
+
+def test_folded_residual_norm_is_the_window_norm():
+    # each quotient site stands for 1, 2 or 4 window sites, so the residual
+    # contract bounds the residual of the full-window system
+    window = LatticeWindow(2, 6)
+    stepper = Stepper(window, Potential.zero(window), 1e-2, folded=(0, 1))
+    rng = np.random.default_rng(5)
+    vals = rng.standard_normal(window.shape) + 1j * rng.standard_normal(window.shape)
+    vals = vals + np.flip(vals, 0)
+    vals = vals + np.flip(vals, 1)
+    assert stepper._norm(vals[6:, 6:].ravel()) == pytest.approx(np.linalg.norm(vals), rel=1e-14)
+
+
+def test_trajectory_boundary_mass_is_the_per_snapshot_maximum():
+    window, cfg = free_config(M=10, dt=1e-2, d=2)
+    traj = evolve(LatticeField.delta(window), cfg)
+    traj.values[0] = 0.0  # a zero snapshot counts as no boundary mass
+    per_snapshot = max(boundary_mass_fraction(v, window) for v in traj.values)
+    assert per_snapshot > 1e-12
+    assert traj.boundary_mass() == pytest.approx(per_snapshot, rel=1e-13)
 
 
 def test_block_refinement_solves_counted_then_bounded():

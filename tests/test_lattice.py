@@ -141,6 +141,9 @@ def test_boundary_mass_diagnostic():
     assert boundary_mass_fraction(inner.values, w) == 0.0
     edge = LatticeField.delta(w, [w.M])
     assert boundary_mass_fraction(edge.values, w) == 1.0
+    # the shell is the two outer rings max_k |j_k| in {M-1, M}
+    assert boundary_mass_fraction(LatticeField.delta(w, [w.M - 2]).values, w) == 0.0
+    assert boundary_mass_fraction(LatticeField.delta(w, [1 - w.M]).values, w) == 1.0
 
 
 def test_potential_sup_norm_exact():
