@@ -1,10 +1,11 @@
-"""Modified Bessel I, Bessel J, and Macdonald K evaluations.
+"""Bessel J and Macdonald K evaluations.
 
-I and J come from their ascending series with exactly-rounded summation and
-are cross-checked against the integral representation; K is evaluated by
-log-domain quadrature of its cosh integral so huge orders stay representable.
-These are the decay references (I_n ~ e^{-n log n}) and weight kernels of the
-toolkit; no external special-function library is used at runtime.
+J comes from its ascending series with exactly-rounded summation; it is the
+exact free propagator e^{-2it} i^j J_j(2t) that evolutions are checked
+against.  K is evaluated by log-domain quadrature of its cosh integral, so
+huge orders stay representable, and is returned as its log magnitude; it is
+the weight kernel of the K-Bessel check.  No external special-function
+library is used at runtime.
 """
 
 from __future__ import annotations
@@ -13,80 +14,10 @@ import math
 
 import numpy as np
 
-from .logscalar import LogScalar, tree_logsumexp
-from .quadrature import gauss_legendre, integrate
+from .logscalar import tree_logsumexp
+from .quadrature import gauss_legendre
 
-_MAX_SERIES_TERMS = 400  # m + 2k cap; desk-scale arguments converge long before
-
-
-def bessel_i(m: int, x: float) -> float:
-    """I_m(x) by the ascending series sum (x/2)^(m+2k) / (k! (m+k)!).
-
-    Matches the integral representation (1/pi) int_0^pi e^{x cos t} cos(mt) dt
-    to 1e-10 relative on the tested domain.  Requires |x| <= 700; use
-    bessel_i_log beyond float range.
-    """
-    m = abs(int(m))  # I_{-m} = I_m for integer order
-    x = float(x)
-    if abs(x) > 700:
-        raise OverflowError("bessel_i limited to |x| <= 700; use bessel_i_log")
-    if x == 0.0:
-        return 1.0 if m == 0 else 0.0
-    half = x / 2.0
-    sign = -1.0 if (x < 0 and m % 2) else 1.0  # I_m(-x) = (-1)^m I_m(x)
-    half = abs(half)
-    term = half**m / math.factorial(m)
-    terms = [term]
-    peak = term
-    for k in range(1, _MAX_SERIES_TERMS):
-        term *= half * half / (k * (m + k))
-        terms.append(term)
-        peak = max(peak, term)
-        if term < 5e-324 or (k > half and term < 1e-18 * peak):
-            break
-    return sign * math.fsum(terms)
-
-
-def bessel_i_log(m: int, x: float) -> LogScalar:
-    """log-domain I_m(x) for x > 0 via logsumexp over the series terms."""
-    m = abs(int(m))
-    x = float(x)
-    if x <= 0:
-        raise ValueError("bessel_i_log requires x > 0")
-    log_half = math.log(x / 2.0)
-    logs = []
-    k = 0
-    best = -math.inf
-    while k < 40000:
-        lt = (m + 2 * k) * log_half - math.lgamma(k + 1) - math.lgamma(m + k + 1)
-        logs.append(lt)
-        best = max(best, lt)
-        if lt < best - 40 and k > x / 2:
-            break
-        k += 1
-    return LogScalar.from_log(tree_logsumexp(np.array(logs)))
-
-
-def bessel_i_integral(m: int, x: float, n_nodes: int = 200) -> float:
-    """(1/pi) int_0^pi e^{x cos t} cos(mt) dt, the cross-check route for I_m."""
-    rule = gauss_legendre(n_nodes, 0.0, math.pi)
-    val = integrate(lambda t: np.exp(x * np.cos(t)) * np.cos(m * t), rule)
-    return val / math.pi
-
-
-def bessel_i_asymptotic(n: int, z: float) -> LogScalar:
-    """Large-order reference (1/sqrt(2 pi n)) (e z / 2)^n e^{-n log n}.
-
-    This e^{-n log n} rate is what replaces Gaussian decay on the lattice.
-    """
-    if n < 5:
-        raise ValueError("asymptotic form needs n >= 5")
-    n = int(n)
-    z = float(z)
-    if z <= 0:
-        raise ValueError("asymptotic form needs z > 0")
-    log_mag = -0.5 * math.log(2 * math.pi * n) + n * (1.0 + math.log(z / 2.0)) - n * math.log(n)
-    return LogScalar.from_log(log_mag)
+_MAX_SERIES_TERMS = 400  # n + 2k cap; desk-scale arguments converge long before
 
 
 def bessel_j(n: int, z: float) -> float:
@@ -125,8 +56,9 @@ def _log_cosh(t: np.ndarray) -> np.ndarray:
     return t + np.log1p(np.exp(-2.0 * t)) - math.log(2.0)
 
 
-def bessel_k(nu: float, x: float, n_nodes: int = 400) -> LogScalar:
-    """K_nu(x) = int_0^inf e^{-x cosh t} cosh(nu t) dt, log-domain quadrature.
+def bessel_k(nu: float, x: float, n_nodes: int = 400) -> float:
+    """log K_nu(x), K_nu(x) = int_0^inf e^{-x cosh t} cosh(nu t) dt, by
+    log-domain quadrature.
 
     The cutoff extends past the integrand peak until the log-integrand has
     dropped by 46 (tail < 1e-16 of the result is guaranteed by the integrand's
@@ -147,11 +79,12 @@ def bessel_k(nu: float, x: float, n_nodes: int = 400) -> LogScalar:
         t_hi += 1.0
     rule = gauss_legendre(n_nodes, 0.0, t_hi)
     logs = log_f(rule.nodes) + np.log(rule.weights)
-    return LogScalar.from_log(tree_logsumexp(logs))
+    return tree_logsumexp(logs)
 
 
-def weighted_cosh_integral(j: float, mu: float, n_nodes: int = 800) -> LogScalar:
-    """int_R e^{j b - 2 cosh(b/mu) / e} db by direct log-domain quadrature.
+def weighted_cosh_integral(j: float, mu: float, n_nodes: int = 800) -> float:
+    """log of int_R e^{j b - 2 cosh(b/mu) / e} db by direct log-domain
+    quadrature.
 
     Independent route used to pin the substitution constant relating this
     integral to K_{mu j}(2/e); the substitution t = b/mu gives exactly
@@ -175,4 +108,4 @@ def weighted_cosh_integral(j: float, mu: float, n_nodes: int = 800) -> LogScalar
         hi += mu
     rule = gauss_legendre(n_nodes, lo, hi)
     logs = log_f(rule.nodes) + np.log(rule.weights)
-    return LogScalar.from_log(tree_logsumexp(logs))
+    return tree_logsumexp(logs)

@@ -148,12 +148,9 @@ class EvolutionConfig:
     T: float
     window: LatticeWindow
     potential: Potential
-    scheme_tag: str = "trapezoidal_unitary"
     store_every: int = 1
 
     def __post_init__(self):
-        if self.scheme_tag != "trapezoidal_unitary":
-            raise ValueError("only the trapezoidal_unitary scheme is implemented")
         if not (0 < self.dt <= 0.01):
             raise ValueError("dt must satisfy 0 < dt <= 0.01")
         steps = self.T / self.dt
@@ -187,9 +184,6 @@ class Trajectory:
     @property
     def n_stored(self) -> int:
         return len(self.times)
-
-    def snapshot(self, i: int) -> LatticeField:
-        return LatticeField(self.window, self.values[i])
 
     def site_series(self, j) -> np.ndarray:
         idx = (slice(None),) + self.window.index_of(j)
@@ -237,11 +231,10 @@ def _simpson_weights(n_nodes: int, h: float) -> np.ndarray:
 class Stepper:
     """CN steps u -> A^{-1} (2u - A u), A = I - i dt/2 H, on one window.
 
-    ``step`` carries A u from one step to the next; ``apply`` is a single
-    step from u alone.  The inverse step solves B x = A u, which is the CN
-    step at -dt (A and B swap), so ``apply_inverse`` uses a second stepper
-    at -dt, built on first use.  ``refinement_solves`` and
-    ``max_relative_residual`` accumulate over every step taken.
+    ``step`` carries A u from one step to the next when the caller passes
+    it.  The CN step at -dt swaps A and B, so it inverts a step.
+    ``refinement_solves`` and ``max_relative_residual`` accumulate over
+    every step taken.
 
     With ``steps`` = k > 1 a stepper advances k CN steps at once: ``A`` is
     A^k, factored the same way, and ``step`` solves A^k u' = B^k u.
@@ -269,10 +262,8 @@ class Stepper:
             B = (2.0 * eye - A).tocsc()
             self.A, self._B = _power(A, steps), _power(B, steps)
         self._lu = splu(self.A, permc_spec="MMD_AT_PLUS_A")
-        self._window, self._potential, self._dt = window, potential, dt
         self.steps, self.folded = steps, tuple(folded)
         self._orbit = _orbit_sizes(window, self.folded) if self.folded else None
-        self._inverse = None
         self.refinement_solves = 0
         self.max_relative_residual = 0.0
 
@@ -307,15 +298,6 @@ class Stepper:
         self.refinement_solves += refinements
         self.max_relative_residual = max(self.max_relative_residual, rel)
         return u, Au
-
-    def apply(self, u_flat: np.ndarray) -> np.ndarray:
-        return self.step(u_flat)[0]
-
-    def apply_inverse(self, u_flat: np.ndarray) -> np.ndarray:
-        if self._inverse is None:
-            self._inverse = Stepper(self._window, self._potential, -self._dt, self.steps,
-                                    self.folded)
-        return self._inverse.apply(u_flat)
 
 
 def _power(matrix, k: int):
@@ -402,17 +384,9 @@ def make_decaying_datum(window: LatticeWindow, profile: tuple) -> LatticeField:
     return LatticeField.from_values(window, vals)
 
 
-def observation_integral(traj: Trajectory, mode: str = "origin_site") -> float:
-    """The normalization functional.
-
-    origin_site (default): int_{3/8}^{5/8} |u_{j=0}(t)|^2 dt -- "u(0,t)" read
-    as the lattice site j = 0.  initial_norm: ||u(0)||^2, the alternative
-    reading, kept behind this flag.
-    """
-    if mode == "initial_norm":
-        return float(np.sum(np.abs(traj.values[0]) ** 2))
-    if mode != "origin_site":
-        raise ValueError(f"unknown observation mode {mode!r}")
+def observation_integral(traj: Trajectory) -> float:
+    """The normalization functional int_{3/8}^{5/8} |u_{j=0}(t)|^2 dt, with
+    the paper's "u(0,t)" read as the lattice site j = 0."""
     t = traj.times
     sel = (t >= 0.375 - 1e-12) & (t <= 0.625 + 1e-12)
     if np.count_nonzero(sel) < 3:
@@ -423,9 +397,9 @@ def observation_integral(traj: Trajectory, mode: str = "origin_site") -> float:
     return float(np.dot(w, series))
 
 
-def normalize_observation(traj: Trajectory, mode: str = "origin_site") -> Trajectory:
+def normalize_observation(traj: Trajectory) -> Trajectory:
     """Rescale so the observation integral equals exactly 1."""
-    integral = observation_integral(traj, mode)
+    integral = observation_integral(traj)
     if not (integral > 1e-300):
         raise ZeroObservationError("observation integral below 1e-300")
     return traj.scaled(1.0 / math.sqrt(integral))

@@ -9,16 +9,16 @@ an asserted asymptotic constant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .bessel import bessel_k, weighted_cosh_integral
 from .evolution import Trajectory
-from .fitting import best_model, fit_decay
-from .lattice import (LatticeField, boundary_mass_fraction, log_abs_sq,
-                      radial_log_sums, ring_masses, star_log_weight)
-from .logscalar import NEG_INF, LogScalar, logsumexp
+from .fitting import best_model
+from .lattice import (boundary_mass_fraction, log_abs_sq, radial_log_sums, ring_masses,
+                      star_log_weight)
+from .logscalar import NEG_INF, logsumexp
 from .operators import log_sinh
 
 
@@ -29,9 +29,6 @@ class ExperimentConfig:
     R_list: tuple = tuple(range(8, 29))
     c_rule: float = 2.0
     mu: float = 0.0
-    seed: int = 0
-    c_d: float = 1.0
-    tolerances: dict = dc_field(default_factory=dict)
 
     def __post_init__(self):
         if self.A < 0 or self.L < 0:
@@ -79,29 +76,29 @@ def lambda_scan(source, cfg: ExperimentConfig) -> dict:
     d = window.d
     c = cfg.c_rule
 
-    def make_row(R, lam):
+    def make_row(R, log_lam):
         alpha = c * R * math.log(R)
         log_growth = growth_factor_log(c, R, d)
         # absorption of the A-term: the e^{alpha(2+1/R)^2} scale cancels, so
-        # the condition is sinh-product >= 2 c_d A
+        # the condition is sinh-product >= 2 c_d A, with c_d = 1
         sinh_log = 0.5 * log_sinh(2.0 * c * math.log(R) / R) + log_sinh(2.0 * c * math.log(R) / math.sqrt(d))
-        absorbed = (cfg.A == 0.0) or sinh_log >= math.log(2.0 * cfg.c_d * cfg.A)
+        absorbed = (cfg.A == 0.0) or sinh_log >= math.log(2.0 * cfg.A)
         w_out = alpha * (4.0 + 1.0 / R) ** 2
         w_in = alpha * (2.0 + 1.0 / R) ** 2
         return ScanRow(
             R=float(R),
-            log_lambda=lam.log_mag,
+            log_lambda=log_lam,
             alpha=alpha,
             log_lhs_growth=log_growth,
             pass_absorption=bool(absorbed),
             boundary_mass=bmass,
             log_scarl_lhs=sinh_log + w_in,
-            log_term_lambda=w_out + lam.log_mag,
+            log_term_lambda=w_out + log_lam,
             log_term_A=(w_in + math.log(cfg.A)) if cfg.A > 0 else NEG_INF,
         )
 
-    rows = [make_row(R, lam) for R, lam in zip(cfg.R_list, lams)]
-    fit_rows = [(r.R, LogScalar.from_log(r.log_lambda)) for r in rows if r.log_lambda != NEG_INF]
+    rows = [make_row(R, log_lam) for R, log_lam in zip(cfg.R_list, lams)]
+    fit_rows = [(r.R, r.log_lambda) for r in rows if r.log_lambda != NEG_INF]
     fits = best_model(fit_rows) if len(fit_rows) >= 3 else None
     out = {"rows": rows, "boundary_mass": bmass, "c_rule": c, "d": d}
     if fits is not None:
@@ -191,40 +188,27 @@ def log_convexity_stability(traj: Trajectory, beta_max: float, cfg: ExperimentCo
             "stable": rel < 0.2, "vacuous": c1 <= 0}
 
 
-def synthetic_star_decay_field(window, mu: float) -> LatticeField:
-    """u_j = e^{-mu |j| log(|j|+1)}, the frozen-in-time threshold profile."""
-    r = np.sqrt(window.radius_sq)
-    log_vals = star_log_weight(r, -mu)
-    vals = np.where(log_vals >= -745.0, np.exp(np.maximum(log_vals, -745.0)), 0.0)
-    return LatticeField.from_values(window, vals)
+def weighted_uniqueness_threshold(traj: Trajectory, cfg: ExperimentConfig) -> dict:
+    """Fits the lambda(R) decay constant of an evolved trajectory against the
+    weighted-sum bound.
 
-
-def weighted_uniqueness_threshold(traj_or_none, cfg: ExperimentConfig, window=None) -> dict:
-    """Fits the lambda(R) decay constant against the weighted-sum bound.
-
-    With decay rate mu in the data, the ring sums of the frozen profile decay
-    like e^{-mu R log R}; for an evolved trajectory the scan reports the
-    fitted lower constant, the largest weight rate mu' the two-endpoint bound
-    tolerates, and their quotient (the empirical critical ratio).
+    With decay rate mu in the data, the scan reports the fitted lower
+    constant, the largest weight rate mu' the two-endpoint bound tolerates,
+    and their quotient (the empirical critical ratio).
     """
     if cfg.mu <= 0:
         return {"contradiction": False,
                 "reason": "decay hypothesis unmet (mu = 0 gives no decay beyond ell^2)"}
-    if traj_or_none is None:
-        scan = lambda_scan(synthetic_star_decay_field(window, cfg.mu), cfg)
-    else:
-        scan = lambda_scan(traj_or_none, cfg)
+    scan = lambda_scan(traj, cfg)
     if scan.get("vacuous"):
         return {"vacuous": True, "mu": cfg.mu, "scan": scan,
                 "reason": "fewer than three nonempty rings: no decay constant to fit"}
     c_low = scan["fits"]["R_logR"].exponent_constant
-    if traj_or_none is None:
-        return {"mode": "synthetic", "c_low_fit": c_low, "mu": cfg.mu, "scan": scan}
     # largest mu' <= mu whose weighted two-endpoint ratio stays bounded
-    tol = cfg.tolerances.get("weighted_ratio", math.log(2.0) if cfg.L == 0 else cfg.L * 10.0)
+    tol = math.log(2.0) if cfg.L == 0 else cfg.L * 10.0
     grid = np.linspace(cfg.mu / 16.0, cfg.mu, 16)
     mu_ok = 0.0
-    for mu_p, sup_log_rho in zip(grid, star_weight_sup_log_rho(traj_or_none, grid)):
+    for mu_p, sup_log_rho in zip(grid, star_weight_sup_log_rho(traj, grid)):
         if sup_log_rho <= tol:
             mu_ok = float(mu_p)
     c0_emp = mu_ok / cfg.mu
@@ -252,61 +236,53 @@ def star_weight_sup_log_rho(traj: Trajectory, mu_grid) -> np.ndarray:
     return np.max(num - den[:, None], axis=1)
 
 
+def _octant_tails(n: int, j_max: int) -> np.ndarray:
+    """Every n-tuple j_max >= t_1 >= ... >= t_n >= 0, one per row, in
+    lexicographic order.  The tuples with t_1 <= v are the first
+    comb(v + n, n) rows."""
+    tails = np.zeros((1, 0), dtype=np.int64)
+    for m in range(n):  # tails holds the m-tuples; prepend each first entry v
+        tails = np.concatenate([
+            np.column_stack([np.full(math.comb(v + m, m), v), tails[:math.comb(v + m, m)]])
+            for v in range(j_max + 1)])
+    return tails
+
+
 def norm_star_equivalence(d: int, j_max: int) -> dict:
     """Exhaustive ratio scan of |j| log(|j|+1) against sum_k |j_k| log(|j_k|+1).
 
-    d = 1 is the identity (ratios exactly 1); d = 2 scans the octant
-    0 <= j_2 <= j_1 <= j_max (symmetry covers the rest); d = 3 likewise.
+    d = 1 is the identity (ratios exactly 1).  For d >= 2 symmetry reduces
+    the scan to the octant j_max >= j_1 >= j_2 >= ... >= j_d >= 0, j_1 >= 1:
+    one row per j_1, vectorised over its tails (j_2, ..., j_d) in
+    lexicographic order, so arg_sup and arg_inf are the first sites in that
+    order to attain the extremes.  A row holds comb(j_1 + d - 1, d - 1)
+    tails, so memory grows like j_max^(d-1).
     """
     if j_max < 10:
         raise ValueError("j_max >= 10 required")
+    if d < 1:
+        raise ValueError("d >= 1 required")
     if d == 1:
         return {"d": 1, "sup_ratio": 1.0, "inf_ratio": 1.0, "c_d": 1.0, "exact": True}
-
-    def ratio_rows_d2():
-        sup_r, inf_r = -math.inf, math.inf
-        arg_sup = arg_inf = None
-        for j1 in range(0, j_max + 1):
-            j2 = np.arange(0, j1 + 1, dtype=float)
-            if j1 == 0:
-                continue
-            r = np.hypot(float(j1), j2)
-            num = r * np.log(r + 1.0)
-            star = j1 * math.log(j1 + 1.0) + j2 * np.log(j2 + 1.0)
-            ratios = num / star
-            i_hi = int(np.argmax(ratios))
-            i_lo = int(np.argmin(ratios))
-            if ratios[i_hi] > sup_r:
-                sup_r, arg_sup = float(ratios[i_hi]), (j1, int(j2[i_hi]))
-            if ratios[i_lo] < inf_r:
-                inf_r, arg_inf = float(ratios[i_lo]), (j1, int(j2[i_lo]))
-        return sup_r, inf_r, arg_sup, arg_inf
-
-    def ratio_rows_d3():
-        sup_r, inf_r = -math.inf, math.inf
-        arg_sup = arg_inf = None
-        for j1 in range(1, j_max + 1):
-            for j2 in range(0, j1 + 1):
-                j3 = np.arange(0, j2 + 1, dtype=float)
-                r = np.sqrt(float(j1) ** 2 + float(j2) ** 2 + j3**2)
-                num = r * np.log(r + 1.0)
-                star = (j1 * math.log(j1 + 1.0) + j2 * math.log(j2 + 1.0)
-                        + j3 * np.log(j3 + 1.0))
-                ratios = num / star
-                i_hi = int(np.argmax(ratios))
-                i_lo = int(np.argmin(ratios))
-                if ratios[i_hi] > sup_r:
-                    sup_r, arg_sup = float(ratios[i_hi]), (j1, j2, int(j3[i_hi]))
-                if ratios[i_lo] < inf_r:
-                    inf_r, arg_inf = float(ratios[i_lo]), (j1, j2, int(j3[i_lo]))
-        return sup_r, inf_r, arg_sup, arg_inf
-
-    if d == 2:
-        sup_r, inf_r, arg_sup, arg_inf = ratio_rows_d2()
-    elif d == 3:
-        sup_r, inf_r, arg_sup, arg_inf = ratio_rows_d3()
-    else:
-        raise ValueError("exhaustive scan implemented for d <= 3")
+    tails = _octant_tails(d - 1, j_max)
+    k = np.arange(j_max + 1)
+    star_terms = [(k * np.log(k + 1.0))[col] for col in tails.T]
+    tail_sq = np.sum(tails.astype(float) ** 2, axis=1)  # exact integers
+    sup_r, inf_r = -math.inf, math.inf
+    arg_sup = arg_inf = None
+    for j1 in range(1, j_max + 1):
+        n = math.comb(j1 + d - 1, d - 1)
+        r = np.sqrt(float(j1 * j1) + tail_sq[:n])
+        star = j1 * math.log(j1 + 1.0) + star_terms[0][:n]
+        for terms in star_terms[1:]:
+            star = star + terms[:n]
+        ratios = r * np.log(r + 1.0) / star
+        i_hi = int(np.argmax(ratios))
+        i_lo = int(np.argmin(ratios))
+        if ratios[i_hi] > sup_r:
+            sup_r, arg_sup = float(ratios[i_hi]), (j1, *(int(t) for t in tails[i_hi]))
+        if ratios[i_lo] < inf_r:
+            inf_r, arg_inf = float(ratios[i_lo]), (j1, *(int(t) for t in tails[i_lo]))
     return {"d": d, "j_max": j_max, "sup_ratio": sup_r, "inf_ratio": inf_r,
             "arg_sup": arg_sup, "arg_inf": arg_inf,
             "c_d": max(sup_r, 1.0 / inf_r)}
@@ -321,13 +297,13 @@ def k_bessel_weight_check(mu: float, j_list, growth_j=None) -> dict:
     for j in j_list:
         lhs = weighted_cosh_integral(float(j), mu)
         rhs = bessel_k(mu * float(j), 2.0 / math.e)
-        defect = abs(math.expm1(lhs.log_mag - (math.log(2.0 * mu) + rhs.log_mag)))
+        defect = abs(math.expm1(lhs - (math.log(2.0 * mu) + rhs)))
         rows.append({"j": float(j), "relative_defect": defect})
     out = {"mu": mu, "substitution_constant": 2.0 * mu, "rows": rows,
            "max_defect": max(r["relative_defect"] for r in rows)}
     if growth_j is not None:
         js = np.asarray(list(growth_j), dtype=float)
-        logs = np.array([bessel_k(mu * j, 2.0 / math.e).log_mag for j in js])
+        logs = np.array([bessel_k(mu * j, 2.0 / math.e) for j in js])
         m = js * np.log(js)
         A = np.column_stack([m, np.ones_like(m)])
         coef, *_ = np.linalg.lstsq(A, logs, rcond=None)

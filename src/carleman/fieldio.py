@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .evolution import EvolutionConfig, Trajectory
+from .evolution import Trajectory
 from .lattice import LatticeField, LatticeWindow
 
 _MAGIC = b"CARL"
@@ -79,14 +79,15 @@ def read_field(path):
     return values, window, meta
 
 
-def write_trajectory(directory, traj: Trajectory, stem: str = "trajectory") -> list:
-    """One binary per snapshot plus a manifest (dt, T, scheme, potential hash)."""
+def write_trajectory(directory, traj: Trajectory) -> list:
+    """One binary per snapshot, trajectory_<i>.bin, plus trajectory_manifest.json
+    (dt, T, scheme, potential hash)."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     written = []
     files = []
     for i in range(traj.n_stored):
-        p = directory / f"{stem}_{i:05d}.bin"
+        p = directory / f"trajectory_{i:05d}.bin"
         written += write_field(p, traj.values[i], traj.window,
                                metadata={"t": float(traj.times[i])})
         files.append(p.name)
@@ -94,22 +95,22 @@ def write_trajectory(directory, traj: Trajectory, stem: str = "trajectory") -> l
         "format": "carleman-trajectory",
         "dt": traj.config.dt,
         "T": traj.config.T,
-        "scheme": traj.config.scheme_tag,
+        "scheme": "trapezoidal_unitary",
         "store_every": traj.config.store_every,
         "potential_sha256": traj.config.potential_hash(),
         "times": [float(t) for t in traj.times],
         "snapshots": files,
         "scale_log": traj.scale_log,
     }
-    mpath = directory / f"{stem}_manifest.json"
+    mpath = directory / "trajectory_manifest.json"
     mpath.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return written + [mpath]
 
 
-def read_trajectory(directory, stem: str = "trajectory"):
+def read_trajectory(directory):
     """Returns (times, stacked values, window, manifest dict)."""
     directory = Path(directory)
-    manifest = json.loads((directory / f"{stem}_manifest.json").read_text())
+    manifest = json.loads((directory / "trajectory_manifest.json").read_text())
     snaps = []
     window = None
     for name in manifest["snapshots"]:

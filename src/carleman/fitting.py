@@ -7,14 +7,12 @@ type (R log R vs Gaussian vs plain exponential).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DegenerateFitError
-from .logscalar import LogScalar
 
 MODELS = ("R_logR", "R_sq", "R_linear")
 
@@ -37,31 +35,18 @@ class FitResult:
     residual: float  # RMS of log-residuals
     model_tag: str
 
-    def predicted_log_lambda(self, R) -> np.ndarray:
-        m = model_abscissa(np.asarray(R, dtype=float), self.model_tag)
-        return -(self.exponent_constant * m + self.intercept)
-
-
-def _neg_log(lam) -> float:
-    if isinstance(lam, LogScalar):
-        if lam.sign <= 0:
-            raise ValueError("fit_decay requires lambda > 0")
-        return -lam.log_mag
-    lam = float(lam)
-    if lam <= 0:
-        raise ValueError("fit_decay requires lambda > 0")
-    return -math.log(lam)
-
 
 def fit_decay(rows: Sequence[tuple], model_tag: str) -> FitResult:
     """Least squares of -log lambda against the model abscissa.
 
-    rows: (R, lambda) pairs with lambda a LogScalar or positive float.
+    rows: (R, log_lambda) pairs; log_lambda must be finite (lambda > 0).
     """
     if len(rows) < 3:
         raise ValueError(f"need >= 3 rows, got {len(rows)}")
     R = np.array([float(r) for r, _ in rows])
-    y = np.array([_neg_log(lam) for _, lam in rows])
+    y = -np.array([float(log_lam) for _, log_lam in rows])
+    if not np.all(np.isfinite(y)):
+        raise ValueError("fit_decay requires finite log lambda (lambda > 0)")
     m = model_abscissa(R, model_tag)
     if np.ptp(m) == 0.0:
         raise DegenerateFitError("all abscissae equal")

@@ -10,9 +10,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import RingOutsideWindowError
-from .logscalar import NEG_INF, LogScalar, logsumexp, tree_logaddexp
-
-_LOG_FLOOR = -745.0  # below exp() underflow; stands in for log(0) in arrays
+from .logscalar import NEG_INF, logsumexp, tree_logaddexp
 
 
 @dataclass(frozen=True)
@@ -21,15 +19,12 @@ class LatticeWindow:
 
     d: int
     M: int
-    boundary_policy: str = "zero_padding"
 
     def __post_init__(self):
         if self.d < 1:
             raise ValueError("dimension d must be >= 1")
         if self.M < 2:
             raise ValueError("half-width M must be >= 2")
-        if self.boundary_policy != "zero_padding":
-            raise ValueError("only zero_padding boundaries are supported")
 
     @property
     def shape(self) -> tuple:
@@ -191,21 +186,6 @@ def weighted_log_norm(values: np.ndarray, log_weights, d: int,
     return 0.5 * total
 
 
-def weighted_l2(u, log_weights, time_rule=None) -> LogScalar:
-    """sqrt( sum_j w_j^2 |u_j|^2 ), wholly in the log domain.
-
-    u: LatticeField, or ndarray of values; for space-time input (leading time
-    axis) pass time_rule=(nodes, weights) or a QuadratureRule and log_weights
-    either per-site or per (node, site).
-    """
-    values = u.values if isinstance(u, LatticeField) else np.asarray(u)
-    if time_rule is None:
-        return LogScalar.from_log(float(weighted_log_norm(values, log_weights, values.ndim)))
-    t_weights = time_rule.weights if hasattr(time_rule, "weights") else time_rule[1]
-    return LogScalar.from_log(float(weighted_log_norm(values, log_weights, values.ndim - 1,
-                                                      np.asarray(t_weights, dtype=float))))
-
-
 def radial_log_sums(window: LatticeWindow, log_mass: np.ndarray) -> tuple:
     """One max-shifted log-sum of log_mass per integer |j|^2 bin.
 
@@ -223,8 +203,9 @@ def radial_log_sums(window: LatticeWindow, log_mass: np.ndarray) -> tuple:
 
 
 def ring_masses(u, R_list, time_weights: np.ndarray | None = None) -> list:
-    """lambda(R) for every R in R_list: ell^2 mass on the ring
-    R-2 <= |j| <= R+1 (Euclidean), time-integrated for space-time input.
+    """log lambda(R) for every R in R_list, -inf for an empty ring: the ell^2
+    mass on the ring R-2 <= |j| <= R+1 (Euclidean), time-integrated for
+    space-time input.
 
     u: LatticeField (stationary variant), or (Trajectory-like) object exposing
     window and a values array with leading time axis; time_weights then gives
@@ -252,7 +233,7 @@ def ring_masses(u, R_list, time_weights: np.ndarray | None = None) -> list:
         lo = np.searchsorted(r_sq, (R - 2) ** 2, side="left")
         hi = np.searchsorted(r_sq, (R + 1) ** 2, side="right")
         total = float(logsumexp(bin_logs[lo:hi])) if hi > lo else NEG_INF
-        out.append(LogScalar.from_log(0.5 * total))
+        out.append(0.5 * total)
     return out
 
 

@@ -640,16 +640,6 @@ def admissible_site_mask(spec: WeightSpec, window: LatticeWindow) -> tuple:
     return hard, ramp
 
 
-def random_admissible_field(spec: WeightSpec, window: LatticeWindow, grid: QuadratureRule,
-                            rng, support_margin: int = 2) -> SpaceTimeField:
-    """Complex Gaussian sites x smooth inward ramp x polynomial time bump.
-
-    The ramp vanishes off the admissible set, so the field is exactly zero
-    there."""
-    _, ramp = admissible_site_mask(spec, window)
-    return random_tensor_field(window, grid, rng, support_margin=support_margin, site_mask=ramp)
-
-
 def carleman_ratio(spec: WeightSpec, g: SpaceTimeField, support_tol: float = 1e-14):
     """Smallest admissible constant for this g in the weighted inequality:
 

@@ -1,11 +1,10 @@
-"""Weight parameters, the smooth time profile, and radial cutoffs.
+"""Weight parameters and the smooth time profile.
 
 The C-infinity gluing h(s) = e^{-1/s} / (e^{-1/s} + e^{-1/(1-s)}) supplies
 every transition: the time profile (0 on [0,1/4] and [3/4,1], 3 on
-[3/8,5/8]), the radial plateau cutoff theta_R (1 inside R-1, 0 outside R)
-and the annular cutoff mu (0 inside radius 1, 1 outside radius 2).  h has
-closed-form first and second derivatives, whose exact sup-norms are located
-once by golden-section search and cached.
+[3/8,5/8]) and the inward ramp of the admissible sites of the Carleman
+check.  h has closed-form first and second derivatives, whose exact
+sup-norms are located once by golden-section search and cached.
 """
 
 from __future__ import annotations
@@ -169,7 +168,6 @@ class WeightSpec:
     R: float
     phi: TimeProfile
     d: int
-    c_rule: float = 2.0  # constant in the alpha >= c R log R regime rule
 
     def __post_init__(self):
         if self.alpha < 0 or self.R <= 0:
@@ -179,12 +177,8 @@ class WeightSpec:
 
     @staticmethod
     def from_rule(R: float, phi: TimeProfile, d: int, c_rule: float = 2.0) -> "WeightSpec":
-        return WeightSpec(c_rule * R * math.log(R), R, phi, d, c_rule)
-
-    @property
-    def meets_alpha_rule(self) -> bool:
-        """Whether alpha >= c_rule * R log R (the evolution-regime condition)."""
-        return self.alpha >= self.c_rule * self.R * math.log(self.R) - 1e-12
+        """The weight at alpha = c_rule R log R, the evolution regime."""
+        return WeightSpec(c_rule * R * math.log(R), R, phi, d)
 
 
 def weight_log_magnitude(spec: WeightSpec, coords, phi_t) -> np.ndarray:
@@ -198,31 +192,3 @@ def weight_log_magnitude(spec: WeightSpec, coords, phi_t) -> np.ndarray:
     for k in range(1, spec.d):
         total = total + (coords[k] / spec.R) ** 2
     return spec.alpha * total
-
-
-def weight_at(j, t, spec: WeightSpec):
-    """The weight at one site/time as a LogScalar (sign +)."""
-    from .logscalar import LogScalar
-
-    j = np.atleast_1d(np.asarray(j, dtype=float))
-    phi_t = float(spec.phi.value(np.asarray(t, dtype=float)))
-    coords = [np.array(j[k]) for k in range(spec.d)]
-    return LogScalar.from_log(float(weight_log_magnitude(spec, coords, phi_t)))
-
-
-@dataclass(frozen=True)
-class CutoffSet:
-    """Radial plateau cutoffs theta_R and mu built from the same gluing."""
-
-    R: float
-    smoothing_tag: str = "exp_glue"
-
-    def theta(self, r):
-        """1 for |x| <= R-1, 0 for |x| >= R, smooth monotone in between."""
-        r = np.asarray(r, dtype=float)
-        return _glue_h(self.R - r)
-
-    def mu(self, r):
-        """0 for |x| <= 1, 1 for |x| >= 2."""
-        r = np.asarray(r, dtype=float)
-        return _glue_h(r - 1.0)

@@ -1,8 +1,9 @@
 """Gauss-Legendre quadrature, the single quadrature family used everywhere.
 
-All integrands in the toolkit (polynomial time bumps, Bessel integral
-representations, hyperbolic weight kernels) are smooth, so Gauss-Legendre
-with node-doubling error control is sufficient and fast.
+All integrands in the toolkit (polynomial time bumps and the hyperbolic
+K-Bessel kernels) are smooth, so a fixed Gauss-Legendre rule, applied by its
+callers as weights times integrand values at the nodes, is sufficient and
+fast.
 """
 
 from __future__ import annotations
@@ -13,21 +14,13 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial import legendre
 
-from .errors import NonFiniteError
-
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Nodes/weights for integration over [a, b]."""
+    """Nodes/weights for integration over an interval."""
 
-    a: float
-    b: float
     nodes: np.ndarray
     weights: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return len(self.nodes)
 
 
 _NEWTON_STEPS = 20  # three or four reach 1e-14 from Tricomi's seeds for n <= 800
@@ -87,25 +80,4 @@ def gauss_legendre(n: int, a: float = 0.0, b: float = 1.0) -> QuadratureRule:
     x, w = _reference_rule(n)
     half = 0.5 * (b - a)
     mid = 0.5 * (b + a)
-    return QuadratureRule(a, b, mid + half * x, half * w)
-
-
-def integrate(f, rule: QuadratureRule):
-    """Quadrature of a callable; f may be scalar- or numpy-vectorized."""
-    try:
-        vals = np.asarray(f(rule.nodes))
-        if vals.shape != rule.nodes.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        vals = np.asarray([f(t) for t in rule.nodes])
-    if not np.all(np.isfinite(vals.real)) or not np.all(np.isfinite(vals.imag)):
-        raise NonFiniteError("integrand evaluated to NaN/inf at a quadrature node")
-    total = np.dot(rule.weights, vals)
-    return complex(total) if np.iscomplexobj(vals) else float(total)
-
-
-def integrate_with_error(f, rule: QuadratureRule):
-    """Quadrature value plus a node-doubling error estimate |I_n - I_2n|."""
-    coarse = integrate(f, rule)
-    fine = integrate(f, gauss_legendre(2 * rule.n, rule.a, rule.b))
-    return fine, abs(fine - coarse)
+    return QuadratureRule(mid + half * x, half * w)

@@ -18,8 +18,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .logscalar import LogScalar
-
 TOOL_VERSION = "0.1.0"
 
 
@@ -29,8 +27,6 @@ def sanitize(obj):
         return obj
     if isinstance(obj, float):
         return obj
-    if isinstance(obj, LogScalar):
-        return {"log_mag": obj.log_mag, "sign": obj.sign}
     if isinstance(obj, Fraction):
         return str(obj)
     if isinstance(obj, (np.floating, np.integer)):

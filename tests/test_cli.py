@@ -29,6 +29,14 @@ RUNS = {
 # files each run lists in its manifest
 OUTPUT_COUNTS = {"carleman-check": 1, "commutator-check": 1, "counterexample": 5,
                  "lambda-scan": 2, "logconvexity": 2, "threshold-scan": 2}
+# the start of each run's first verdict line; lambda-scan and threshold-scan
+# have no gate that could fail, so they report VACUOUS
+VERDICTS = {"carleman-check": "PASS carleman_inequality: ",
+            "commutator-check": "PASS symmetry_skewness: ",
+            "counterexample": "PASS counterexample: ",
+            "lambda-scan": "VACUOUS lambda_scan: best decay model ",
+            "logconvexity": "VACUOUS logconvexity: ",
+            "threshold-scan": "VACUOUS threshold_scan: sqrt_log fails from R="}
 
 
 def run(subcommand, out, capsys):
@@ -39,8 +47,9 @@ def run(subcommand, out, capsys):
 @pytest.mark.parametrize("subcommand", sorted(RUNS))
 def test_subcommand_writes_manifested_reproducible_outputs(subcommand, tmp_path, capsys):
     first, second = tmp_path / "a", tmp_path / "b"
-    code, _ = run(subcommand, first, capsys)
+    code, stdout = run(subcommand, first, capsys)
     assert code == 0
+    assert stdout.startswith(VERDICTS[subcommand])
     manifests = sorted(first.glob("manifest_*.json"))
     assert len(manifests) == 1
     outputs = json.loads(manifests[0].read_text())["outputs"]

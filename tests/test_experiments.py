@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -8,9 +9,8 @@ from carleman.evolution import (EvolutionConfig, Trajectory, evolve, make_decayi
 from carleman.experiments import (ExperimentConfig, beta_grid, k_bessel_weight_check,
                                   lambda_scan, log_convexity_check,
                                   log_convexity_stability, norm_star_equivalence,
-                                  synthetic_star_decay_field,
                                   weighted_uniqueness_threshold)
-from carleman.lattice import LatticeField, LatticeWindow, Potential
+from carleman.lattice import LatticeField, LatticeWindow, Potential, star_log_weight
 from carleman.logscalar import NEG_INF
 
 
@@ -19,6 +19,19 @@ def free_delta_trajectory(M=34, dt=1e-3, store_every=5):
     cfg = EvolutionConfig(dt=dt, T=1.0, window=window,
                           potential=Potential.zero(window), store_every=store_every)
     return normalize_observation(evolve(LatticeField.delta(window), cfg))
+
+
+def star_decay_field(window, mu):
+    """u_j = e^{-mu |j| log(|j|+1)}, exact zeros where that underflows."""
+    log_vals = star_log_weight(np.sqrt(window.radius_sq), -mu)
+    return LatticeField.from_values(window, np.where(log_vals >= -745.0, np.exp(log_vals), 0.0))
+
+
+def resting_trajectory(window, n_times=11):
+    """A trajectory that stays at the delta datum: every ring R >= 3 is empty."""
+    times = np.linspace(0.0, 1.0, n_times)
+    values = np.repeat(LatticeField.delta(window).values[None], n_times, axis=0)
+    return Trajectory(window, times, values, np.zeros(n_times), config=None)
 
 
 def test_lambda_scan_zero_field_vacuous():
@@ -65,8 +78,8 @@ def test_lambda_monotone_under_domination():
 def test_lambda_scan_window_doubling_invariance():
     mu = 1.0
     cfg = ExperimentConfig(R_list=(8, 12, 16, 20), mu=mu)
-    small = lambda_scan(synthetic_star_decay_field(LatticeWindow(1, 24), mu), cfg)
-    big = lambda_scan(synthetic_star_decay_field(LatticeWindow(1, 48), mu), cfg)
+    small = lambda_scan(star_decay_field(LatticeWindow(1, 24), mu), cfg)
+    big = lambda_scan(star_decay_field(LatticeWindow(1, 48), mu), cfg)
     for a, b in zip(small["rows"], big["rows"]):
         assert a.log_lambda == pytest.approx(b.log_lambda, abs=1e-10)
 
@@ -85,13 +98,13 @@ def test_synthetic_star_decay_slope_matches_mu():
     mu = 2.0
     window = LatticeWindow(1, 44)
     cfg = ExperimentConfig(R_list=tuple(range(10, 41, 2)), mu=mu)
-    out = weighted_uniqueness_threshold(None, cfg, window=window)
-    assert out["mode"] == "synthetic"
-    assert out["c_low_fit"] == pytest.approx(mu, rel=0.05)
+    out = lambda_scan(star_decay_field(window, mu), cfg)
+    assert out["fits"]["R_logR"].exponent_constant == pytest.approx(mu, rel=0.05)
 
 
 def test_threshold_mu_zero_reports_no_contradiction():
-    out = weighted_uniqueness_threshold(None, ExperimentConfig(mu=0.0))
+    out = weighted_uniqueness_threshold(resting_trajectory(LatticeWindow(1, 20)),
+                                        ExperimentConfig(mu=0.0))
     assert out["contradiction"] is False
 
 
@@ -150,10 +163,34 @@ def test_norm_star_d2_axis_attains_sup():
     assert out["c_d"] == pytest.approx(1.0 / expected_inf, rel=1e-12)
 
 
+def octant_oracle(d, j_max):
+    """Brute force over every site j_max >= j_1 >= ... >= j_d >= 0, j_1 >= 1,
+    in lexicographic order; the args are the first sites to attain the
+    extremes."""
+    sites = np.array([j for j in itertools.product(range(j_max + 1), repeat=d)
+                      if j[0] >= 1 and all(a >= b for a, b in zip(j, j[1:]))], dtype=float)
+    r = np.sqrt(np.sum(sites**2, axis=1))
+    star = sites[:, 0] * np.log(sites[:, 0] + 1.0)
+    for k in range(1, d):
+        star = star + sites[:, k] * np.log(sites[:, k] + 1.0)
+    ratios = r * np.log(r + 1.0) / star
+    hi, lo = int(np.argmax(ratios)), int(np.argmin(ratios))
+    sup_r, inf_r = float(ratios[hi]), float(ratios[lo])
+    return {"d": d, "j_max": j_max, "sup_ratio": sup_r, "inf_ratio": inf_r,
+            "arg_sup": tuple(int(x) for x in sites[hi]),
+            "arg_inf": tuple(int(x) for x in sites[lo]), "c_d": max(sup_r, 1.0 / inf_r)}
+
+
 def test_norm_star_d3_runs():
     out = norm_star_equivalence(3, 24)
+    assert out == octant_oracle(3, 24)
     assert out["sup_ratio"] >= 1.0 - 1e-12
     assert 0.4 < out["inf_ratio"] < 1.0
+
+
+@pytest.mark.parametrize("d, j_max", [(2, 10), (2, 57), (3, 13), (4, 10), (4, 14)])
+def test_norm_star_matches_octant_oracle(d, j_max):
+    assert norm_star_equivalence(d, j_max) == octant_oracle(d, j_max)
 
 
 def test_k_bessel_identity_and_growth():
@@ -164,18 +201,12 @@ def test_k_bessel_identity_and_growth():
 
 
 def test_threshold_vacuous_scan_reported_not_raised():
-    # synthetic mode: mu = 200 underflows every ring to exact zero
-    cfg = ExperimentConfig(R_list=(8, 12, 16), mu=200.0)
-    out = weighted_uniqueness_threshold(None, cfg, window=LatticeWindow(1, 20))
-    assert out["vacuous"] is True and out["reason"]
-    assert "c_low_fit" not in out
-    # evolution mode: a trajectory resting at the origin has empty rings
-    window = LatticeWindow(2, 20)
-    times = np.linspace(0.0, 1.0, 11)
-    values = np.repeat(LatticeField.delta(window).values[None], len(times), axis=0)
-    traj = Trajectory(window, times, values, np.zeros(len(times)), config=None)
-    out = weighted_uniqueness_threshold(traj, ExperimentConfig(R_list=(8, 12, 16), mu=1.0))
-    assert out["vacuous"] is True and out["reason"]
+    # a trajectory resting at the origin has empty rings
+    for d in (1, 2):
+        traj = resting_trajectory(LatticeWindow(d, 20))
+        out = weighted_uniqueness_threshold(traj, ExperimentConfig(R_list=(8, 12, 16), mu=1.0))
+        assert out["vacuous"] is True and out["reason"]
+        assert "c_low_fit" not in out
 
 
 def test_log_convexity_stability_vacuous_flag():

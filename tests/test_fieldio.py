@@ -10,9 +10,9 @@ def test_write_read_trajectory_round_trip(tmp_path):
     cfg = EvolutionConfig(dt=1e-2, T=0.1, window=window,
                           potential=Potential.alternating(window), store_every=3)
     traj = evolve(make_decaying_datum(window, ("bessel_like", 1.0)), cfg).scaled(0.5)
-    written = write_trajectory(tmp_path, traj, stem="run")
+    written = write_trajectory(tmp_path, traj)
     assert len(written) == 2 * traj.n_stored + 1
-    times, values, win, manifest = read_trajectory(tmp_path, stem="run")
+    times, values, win, manifest = read_trajectory(tmp_path)
     assert win == window
     assert np.array_equal(times, traj.times)
     assert values.shape == traj.values.shape
@@ -21,3 +21,6 @@ def test_write_read_trajectory_round_trip(tmp_path):
     assert manifest["store_every"] == cfg.store_every
     assert manifest["potential_sha256"] == cfg.potential_hash()
     assert manifest["scale_log"] == traj.scale_log
+    assert manifest["scheme"] == "trapezoidal_unitary"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(p.name for p in written)
+    assert (tmp_path / "trajectory_manifest.json").exists()

@@ -1,18 +1,16 @@
-import math
-
 import numpy as np
 import pytest
 
 from carleman.errors import DegenerateFitError
 from carleman.fitting import best_model, fit_decay
-from carleman.logscalar import LogScalar
+from carleman.logscalar import NEG_INF
 
 
 def synthetic(rows_R, c, model):
     from carleman.fitting import model_abscissa
 
     m = model_abscissa(np.asarray(rows_R, float), model)
-    return [(R, LogScalar.from_log(-c * mi)) for R, mi in zip(rows_R, m)]
+    return [(R, -c * mi) for R, mi in zip(rows_R, m)]
 
 
 def test_exact_exponent_recovery():
@@ -39,20 +37,20 @@ def test_best_model_ranking():
 
 
 def test_degenerate_abscissae():
-    rows = [(10, LogScalar.from_log(-3.0))] * 4
+    rows = [(10, -3.0)] * 4
     with pytest.raises(DegenerateFitError):
         fit_decay(rows, "R_logR")
 
 
 def test_needs_three_rows():
     with pytest.raises(ValueError):
-        fit_decay([(8, LogScalar.one()), (9, LogScalar.one())], "R_logR")
+        fit_decay([(8, 0.0), (9, 0.0)], "R_logR")
 
 
-def test_accepts_plain_floats():
-    rows = [(R, math.exp(-0.5 * R)) for R in range(5, 15)]
-    fit = fit_decay(rows, "R_linear")
-    assert fit.exponent_constant == pytest.approx(0.5, rel=1e-12)
+def test_rejects_empty_ring():
+    rows = [(R, -0.5 * R) for R in range(5, 15)] + [(15, NEG_INF)]
+    with pytest.raises(ValueError):
+        fit_decay(rows, "R_linear")
 
 
 def test_halved_grid_consistency():

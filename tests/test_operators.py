@@ -15,7 +15,7 @@ from carleman.operators import (OperatorCoefficients, SpaceTimeField,
                                 hiding_sides, inner,
                                 log_cosh, log_sinh, make_time_grid,
                                 minimal_hiding_constant, phi_rate_scan,
-                                random_admissible_field, random_tensor_field,
+                                admissible_site_mask, random_tensor_field,
                                 symmetry_check, symmetry_defects)
 from carleman.profiles import TimeProfile, WeightSpec
 
@@ -23,7 +23,7 @@ from carleman.profiles import TimeProfile, WeightSpec
 def make_setup(d=1, R=6.0, M=12, phi=None, alpha=None, c_rule=2.0, n_nodes=20, seed=0):
     phi = phi if phi is not None else TimeProfile.zero()
     alpha = alpha if alpha is not None else c_rule * R * math.log(R)
-    spec = WeightSpec(alpha=alpha, R=R, phi=phi, d=d, c_rule=c_rule)
+    spec = WeightSpec(alpha=alpha, R=R, phi=phi, d=d)
     window = LatticeWindow(d, M)
     grid = make_time_grid(n_nodes)
     co = OperatorCoefficients(spec, window, grid)
@@ -255,10 +255,12 @@ def test_carleman_batch_stable_across_seeds():
 
 def test_carleman_stationary_profile_admits_near_origin_support():
     # phi == 3 keeps sites near the origin admissible: |j/R + 3 e_1| >= 1 there
-    spec = WeightSpec(alpha=3.0, R=6.0, phi=TimeProfile.constant(3.0), d=1, c_rule=2.0)
+    spec = WeightSpec(alpha=3.0, R=6.0, phi=TimeProfile.constant(3.0), d=1)
     window = LatticeWindow(1, 10)
     grid = make_time_grid(12)
-    g = random_admissible_field(spec, window, grid, np.random.default_rng(4))
+    _, ramp = admissible_site_mask(spec, window)
+    g = random_tensor_field(window, grid, np.random.default_rng(4), support_margin=2,
+                            site_mask=ramp)
     origin = window.index_of([0])
     assert np.any(np.abs(g.values[(slice(None),) + origin]) > 0)
     assert carleman_ratio(spec, g) > 0

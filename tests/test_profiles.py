@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from carleman.logscalar import LogScalar
-from carleman.profiles import CutoffSet, TimeProfile, WeightSpec, weight_at
+from carleman.profiles import TimeProfile, WeightSpec, weight_log_magnitude
 
 
 def test_paper_phi_plateaus_exact():
@@ -61,39 +60,18 @@ def test_constant_and_zero_profiles():
         assert prof.sup_d1 == 0.0 and prof.sup_d2 == 0.0
 
 
-def test_weight_at_examples():
+def test_weight_log_magnitude_examples():
+    def at(j, t, spec):
+        phi_t = float(spec.phi.value(t))
+        return float(weight_log_magnitude(spec, [np.array(float(jk)) for jk in j], phi_t))
+
     spec = WeightSpec(alpha=7.0, R=4.0, phi=TimeProfile.zero(), d=2)
-    assert weight_at([0, 0], 0.5, spec).log_mag == 0.0
+    assert at([0, 0], 0.5, spec) == 0.0
     spec0 = WeightSpec(alpha=0.0, R=4.0, phi=TimeProfile.paper(), d=2)
-    assert weight_at([3, -2], 0.5, spec0).log_mag == 0.0
+    assert at([3, -2], 0.5, spec0) == 0.0
     # j = (R, 0), phi = 3 at plateau: exponent alpha (1+3)^2 = 16 alpha
     spec3 = WeightSpec(alpha=5.5, R=4.0, phi=TimeProfile.constant(3.0), d=2)
-    assert weight_at([4, 0], 0.5, spec3).log_mag == pytest.approx(16.0 * 5.5, rel=1e-14)
-
-
-def test_weight_spec_alpha_rule_flag():
-    phi = TimeProfile.zero()
-    on_rule = WeightSpec.from_rule(10.0, phi, 1, c_rule=2.0)
-    assert on_rule.meets_alpha_rule
-    off_rule = WeightSpec(alpha=1.0, R=10.0, phi=phi, d=1, c_rule=2.0)
-    assert not off_rule.meets_alpha_rule
-
-
-def test_cutoff_plateaus():
-    cut = CutoffSet(R=9.0)
-    assert float(cut.theta(5.0)) == 1.0 and float(cut.theta(8.0)) == 1.0
-    assert float(cut.theta(9.0)) == 0.0 and float(cut.theta(12.0)) == 0.0
-    mid = float(cut.theta(8.5))
-    assert 0.0 < mid < 1.0
-    assert float(cut.mu(0.5)) == 0.0 and float(cut.mu(1.0)) == 0.0
-    assert float(cut.mu(2.0)) == 1.0 and float(cut.mu(5.0)) == 1.0
-    assert 0.0 < float(cut.mu(1.5)) < 1.0
-
-
-def test_cutoff_transitions_smooth():
-    cut = CutoffSet(R=9.0)
-    r = np.linspace(8.0001, 8.9999, 300)
-    h = 1e-6
-    num = (cut.theta(r + h) - cut.theta(r - h)) / (2 * h)
-    # the profile is monotone decreasing through the transition
-    assert np.all(num <= 1e-9)
+    assert at([4, 0], 0.5, spec3) == pytest.approx(16.0 * 5.5, rel=1e-14)
+    # the rule weight: alpha = c R log R
+    assert WeightSpec.from_rule(10.0, TimeProfile.zero(), 1, c_rule=2.0).alpha == \
+        2.0 * 10.0 * math.log(10.0)
