@@ -47,14 +47,6 @@ class RepairInfeasibleError(CarlemanError):
         self.n_unknowns = n_unknowns
 
 
-class VerificationFailureError(CarlemanError):
-    """Exact verification failed; carries offending sites with residuals."""
-
-    def __init__(self, message, failures=()):
-        super().__init__(message)
-        self.failures = list(failures)
-
-
 class ExactRangeError(CarlemanError):
     """Exact integer arithmetic would leave int64 or the 2^53 float-exact range."""
 

@@ -33,8 +33,14 @@ arithmetic (d = 1, M = 48, dt = 1e-3, delta datum, blocks of 10 steps), max
 |d log|u|| is 1.6e-8 at |u| = 1.4e-146 after the first block (one step per
 solve: 3.5e-13); it is 1.4e-13 by the tenth block and below 1.5e-14 at every
 site of the final snapshot.  With blocks of 16 at dt = 1e-2 and an
-alternating potential, a dense-solve oracle sees 7.1e-12 for tails down to
-5e-53 (M = 34) and 5.3e-10 down to 2e-84 (M = 50).
+alternating potential, a dense-solve oracle sees 7.1e-12 (M = 34) and
+5.3e-10 (M = 50), but that oracle is accurate only relative to the norm, so
+it cannot see the deep tail.  CN single steps in 60-digit mpmath (delta
+datum, sites with |u| > 1e-300) find the first 16-step block losing up to
+5.1e-4 at M = 128, dt = 1e-4, free, and 2.7e-3 at M = 80, dt = 1e-2,
+alternating V (4.5e-7 and 1.7e-6 after the second block; single steps stay
+within 5.7e-14).  Choosing the block lengths so the deep tail keeps its
+digits is open (ROADMAP.md, P0); reports at the CLI defaults are not affected.
 
 The reflection fold.  The data the lower bound is tested on (delta,
 Gaussian, e^{-mu |j| log(|j|+1)}) and the zero and alternating potentials are
@@ -251,8 +257,6 @@ class Stepper:
         import scipy.sparse as sp
         from scipy.sparse.linalg import splu
 
-        if potential.is_time_dependent:
-            raise ValueError("Stepper handles static potentials; pass slices per step")
         V = potential.values[_quotient(window, folded)]
         H = laplacian_matrix(window, folded) + sp.diags(V.ravel().astype(complex))
         eye = sp.identity(H.shape[0], format="csc", dtype=complex)

@@ -47,9 +47,6 @@ class ScanRow:
     log_lhs_growth: float
     pass_absorption: bool
     boundary_mass: float
-    log_scarl_lhs: float
-    log_term_lambda: float
-    log_term_A: float
 
 
 def growth_factor_log(c: float, R: float, d: int) -> float:
@@ -83,8 +80,6 @@ def lambda_scan(source, cfg: ExperimentConfig) -> dict:
         # the condition is sinh-product >= 2 c_d A, with c_d = 1
         sinh_log = 0.5 * log_sinh(2.0 * c * math.log(R) / R) + log_sinh(2.0 * c * math.log(R) / math.sqrt(d))
         absorbed = (cfg.A == 0.0) or sinh_log >= math.log(2.0 * cfg.A)
-        w_out = alpha * (4.0 + 1.0 / R) ** 2
-        w_in = alpha * (2.0 + 1.0 / R) ** 2
         return ScanRow(
             R=float(R),
             log_lambda=log_lam,
@@ -92,9 +87,6 @@ def lambda_scan(source, cfg: ExperimentConfig) -> dict:
             log_lhs_growth=log_growth,
             pass_absorption=bool(absorbed),
             boundary_mass=bmass,
-            log_scarl_lhs=sinh_log + w_in,
-            log_term_lambda=w_out + log_lam,
-            log_term_A=(w_in + math.log(cfg.A)) if cfg.A > 0 else NEG_INF,
         )
 
     rows = [make_row(R, log_lam) for R, log_lam in zip(cfg.R_list, lams)]

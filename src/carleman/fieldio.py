@@ -58,15 +58,14 @@ def write_field(path, field_or_values, window: LatticeWindow | None = None,
 
 def read_field(path):
     """Returns (values, window, metadata); values keep their time axis when
-    n_time > 1."""
+    n_time > 1.  metadata is None when the sidecar is not a JSON object."""
     path = Path(path)
     raw = path.read_bytes()
-    if raw[:4] != _MAGIC:
-        raise ValueError(f"{path} is not a carleman field file")
-    version, d, M = struct.unpack("<III", raw[4:16])
+    if raw[:4] != _MAGIC or len(raw) < 20:
+        raise ValueError(f"{path} is not a carleman field file (magic or header missing)")
+    version, d, M, n_time = struct.unpack("<IIII", raw[4:20])
     if version != _VERSION:
         raise ValueError(f"unsupported field format version {version}")
-    (n_time,) = struct.unpack("<I", raw[16:20])
     window = LatticeWindow(d, M)
     count = n_time * window.site_count
     values = np.frombuffer(raw[20:], dtype="<c16", count=count).astype(np.complex128)
@@ -75,7 +74,8 @@ def read_field(path):
     meta = {}
     sc = _sidecar_path(path)
     if sc.exists():
-        meta = json.loads(sc.read_text()).get("metadata", {})
+        doc = json.loads(sc.read_text())
+        meta = doc.get("metadata", {}) if isinstance(doc, dict) else None
     return values, window, meta
 
 

@@ -112,7 +112,7 @@ class LatticeField:
 
 @dataclass(frozen=True)
 class Potential:
-    """Bounded potential on a window; sup_norm is the exact sup of |values|."""
+    """Bounded static potential on a window."""
 
     window: LatticeWindow
     values: np.ndarray
@@ -120,14 +120,6 @@ class Potential:
     def __post_init__(self):
         if self.values.shape[-self.window.d:] != self.window.shape:
             raise ValueError("potential shape incompatible with window")
-
-    @property
-    def is_time_dependent(self) -> bool:
-        return self.values.ndim == self.window.d + 1
-
-    @property
-    def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.values))) if self.values.size else 0.0
 
     @staticmethod
     def zero(window: LatticeWindow) -> "Potential":

@@ -68,18 +68,13 @@ def _integral(grid: QuadratureRule, d: int, density: np.ndarray):
 
 @dataclass
 class SpaceTimeField:
-    """Complex field on (trials...) x (time nodes) x (window sites) with
-    closed-form time derivatives where available."""
+    """Complex field on (trials...) x (time nodes) x (window sites) with its
+    closed-form first time derivative where available."""
 
     window: LatticeWindow
     grid: QuadratureRule
     values: np.ndarray
     dvalues: np.ndarray | None = None
-    ddvalues: np.ndarray | None = None
-
-    @property
-    def n_nodes(self) -> int:
-        return len(self.grid.nodes)
 
     def norm_sq(self):
         return _integral(self.grid, self.window.d, np.abs(self.values) ** 2)
@@ -148,7 +143,7 @@ class OperatorCoefficients:
         return k - self.window.d
 
 
-def apply_s(F: SpaceTimeField, co: OperatorCoefficients, want_derivative: bool = False) -> SpaceTimeField:
+def apply_s(F: SpaceTimeField, co: OperatorCoefficients) -> SpaceTimeField:
     """Sf = i d_t f - 2d f + sum_k cosh(b+_k) f_{j+e_k} + cosh(b-_k) f_{j-e_k}."""
     if F.dvalues is None:
         raise ValueError("apply_s needs closed-form time derivatives on the input")
@@ -158,19 +153,7 @@ def apply_s(F: SpaceTimeField, co: OperatorCoefficients, want_derivative: bool =
         ax = co.spatial_axis(k)
         vals = vals + np.cosh(co.bp[k]) * _shift(F.values, ax, +1)
         vals = vals + np.cosh(co.bm[k]) * _shift(F.values, ax, -1)
-    dvals = None
-    if want_derivative:
-        if F.ddvalues is None:
-            raise ValueError("derivative of Sf needs second derivatives of f")
-        dvals = 1j * F.ddvalues - (2.0 * d) * F.dvalues
-        for k in range(d):
-            ax = co.spatial_axis(k)
-            dvals = dvals + np.cosh(co.bp[k]) * _shift(F.dvalues, ax, +1)
-            dvals = dvals + np.cosh(co.bm[k]) * _shift(F.dvalues, ax, -1)
-            if k == 0:
-                dvals = dvals + co.b_dot * np.sinh(co.bp[k]) * _shift(F.values, ax, +1)
-                dvals = dvals + co.b_dot * np.sinh(co.bm[k]) * _shift(F.values, ax, -1)
-    return SpaceTimeField(F.window, F.grid, vals, dvals)
+    return SpaceTimeField(F.window, F.grid, vals)
 
 
 def apply_a(F: SpaceTimeField, co: OperatorCoefficients, want_derivative: bool = False) -> SpaceTimeField:
@@ -355,9 +338,8 @@ def _draw(window: LatticeWindow, rng, t_degree: int = 3) -> tuple:
 
 
 def _tensor_field(window: LatticeWindow, grid: QuadratureRule, psi: np.ndarray, h: np.ndarray,
-                  support_margin: int, site_mask: np.ndarray | None, n_derivatives: int
-                  ) -> SpaceTimeField:
-    """psi(t) h_j and its first n_derivatives time derivatives.
+                  support_margin: int, site_mask: np.ndarray | None) -> SpaceTimeField:
+    """psi(t) h_j and its first time derivative.
 
     psi: polynomial coefficients (degree+1, *trials); h: site values
     (*trials, *window.shape), zeroed in place within support_margin of the
@@ -368,8 +350,7 @@ def _tensor_field(window: LatticeWindow, grid: QuadratureRule, psi: np.ndarray, 
         h = h * site_mask
     h = np.expand_dims(h, -(window.d + 1))
     over_sites = (...,) + (np.newaxis,) * window.d
-    parts = [P.polyval(grid.nodes, P.polyder(psi, m))[over_sites] * h
-             for m in range(n_derivatives + 1)]
+    parts = [P.polyval(grid.nodes, P.polyder(psi, m))[over_sites] * h for m in (0, 1)]
     return SpaceTimeField(window, grid, *parts)
 
 
@@ -379,11 +360,11 @@ def random_tensor_field(window: LatticeWindow, grid: QuadratureRule, rng,
     """psi(t) h_j with psi = t^2 (1-t)^2 times a random polynomial.
 
     h is complex Gaussian, zeroed within support_margin of the window edge
-    (and outside site_mask when given); closed-form psi', psi'' ride along so
+    (and outside site_mask when given); the closed-form psi' rides along so
     operator compositions stay finite-difference-free.
     """
     psi, h = _draw(window, rng, t_degree)
-    return _tensor_field(window, grid, psi, h, support_margin, site_mask, 2)
+    return _tensor_field(window, grid, psi, h, support_margin, site_mask)
 
 
 def _trial_blocks(trials: int, grid: QuadratureRule, window: LatticeWindow) -> list:
@@ -403,7 +384,7 @@ def _trial_fields(window: LatticeWindow, grid: QuadratureRule, seed: int, block:
              for rng in (np.random.default_rng((seed, trial)) for trial in block)]
     return [_tensor_field(window, grid, np.stack([trial[i][0] for trial in draws], axis=-1),
                           np.stack([trial[i][1] for trial in draws]),
-                          support_margin, site_mask, 1)
+                          support_margin, site_mask)
             for i in range(n_fields)]
 
 

@@ -1,9 +1,10 @@
-"""Gauss-Legendre quadrature, the single quadrature family used everywhere.
+"""Gauss-Legendre quadrature for the integrands known in closed form.
 
-All integrands in the toolkit (polynomial time bumps and the hyperbolic
-K-Bessel kernels) are smooth, so a fixed Gauss-Legendre rule, applied by its
-callers as weights times integrand values at the nodes, is sufficient and
-fast.
+Those integrands (polynomial time bumps and the hyperbolic K-Bessel kernels)
+are smooth, so a fixed Gauss-Legendre rule, applied by its callers as weights
+times integrand values at the nodes, is sufficient and fast.  Stored
+trajectories are not integrated here: their nodes are the equispaced store
+times, so ``evolution._simpson_weights`` gives them composite Simpson weights.
 """
 
 from __future__ import annotations

@@ -1,10 +1,15 @@
-"""Machine-readable outputs: JSON check reports, TSV scan tables, and run
-manifests.
+"""Machine-readable outputs: JSON check reports, TSV scan tables, and the
+run manifest, the single record of a CLI run.
 
 Determinism contract: report and table contents never embed wall-clock data
 (timestamps live only in the manifest), floats are serialized via repr
 (shortest round-trip form), and JSON keys are sorted, so identical runs are
 byte-identical.
+
+The manifest names every output <stem>_<seed>_<stamp><suffix> under the run's
+out directory; the stem is the subcommand name with - -> _ unless the run sets
+its own.  It records each output it writes, and each PASS / FAIL / VACUOUS
+verdict under its ``verdicts`` key; the run exits 1 if any verdict is FAIL.
 """
 
 from __future__ import annotations
@@ -85,20 +90,45 @@ class RunManifest:
     subcommand may set ``stats`` (e.g. CN solver statistics); the manifest
     holds it only when set."""
 
-    def __init__(self, subcommand: str, config: dict, seed):
+    def __init__(self, subcommand: str, config: dict):
         self.subcommand = subcommand
         self.config = config
-        self.seed = seed
+        self.out = Path(config["out"])
+        self.seed = config.get("seed")
+        self.stem = subcommand.replace("-", "_")
         self.started = datetime.now(timezone.utc).isoformat()
         self.outputs: list[str] = []
+        self.verdicts: list[str] = []
         self.stats: dict | None = None
+
+    def path(self, suffix: str = "") -> Path:
+        """out/<stem>_<seed>_<stamp><suffix>."""
+        return self.out / f"{self.stem}_{self.seed}_{self.config['stamp']}{suffix}"
 
     def add(self, *paths):
         """Record output files by their path relative to the run's ``out``."""
         for p in paths:
-            self.outputs.append(Path(p).relative_to(self.config["out"]).as_posix())
+            self.outputs.append(Path(p).relative_to(self.out).as_posix())
 
-    def write(self, out_dir, stamp: str) -> Path:
+    def json(self, obj, suffix: str = ".json"):
+        self.add(write_json(self.path(suffix), obj))
+
+    def tsv(self, header, rows):
+        self.add(write_tsv(self.path(".tsv"), header, rows))
+
+    def check(self, ok: bool, check: str, detail: str):
+        self.verdicts.append(f"{'PASS' if ok else 'FAIL'} {check}: {detail}")
+
+    def vacuous(self, check: str, reason: str):
+        """A check whose premise did not hold, or a scan with no gate that
+        could fail: neither a pass nor a finding."""
+        self.verdicts.append(f"VACUOUS {check}: {reason}")
+
+    @property
+    def failed(self) -> bool:
+        return any(v.startswith("FAIL ") for v in self.verdicts)
+
+    def write(self) -> Path:
         doc = {
             "subcommand": self.subcommand,
             "config": sanitize(self.config),
@@ -107,12 +137,12 @@ class RunManifest:
             "started": self.started,
             "finished": datetime.now(timezone.utc).isoformat(),
             "outputs": sorted(self.outputs),
+            "verdicts": self.verdicts,
             "input_hash": config_hash({k: v for k, v in self.config.items()
                                        if k not in ("out", "stamp")}),
         }
         if self.stats is not None:
             doc["stats"] = sanitize(self.stats)
-        path = Path(out_dir) / f"manifest_{self.subcommand}_{self.seed}_{stamp}.json"
-        path.parent.mkdir(parents=True, exist_ok=True)
+        path = self.out / f"manifest_{self.subcommand}_{self.seed}_{self.config['stamp']}.json"
         path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
         return path

@@ -52,7 +52,9 @@ def test_subcommand_writes_manifested_reproducible_outputs(subcommand, tmp_path,
     assert stdout.startswith(VERDICTS[subcommand])
     manifests = sorted(first.glob("manifest_*.json"))
     assert len(manifests) == 1
-    outputs = json.loads(manifests[0].read_text())["outputs"]
+    doc = json.loads(manifests[0].read_text())
+    assert doc["verdicts"] == stdout.splitlines()
+    outputs = doc["outputs"]
     assert sorted(outputs) == sorted(p.name for p in first.iterdir() if p != manifests[0])
     assert len(outputs) == OUTPUT_COUNTS[subcommand]
 
@@ -158,7 +160,12 @@ def test_lambda_scan_with_empty_rings_reported_vacuous(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [["lambda-scan", "--M", "x"],
                                   ["logconvexity", "--L", "one"],
-                                  ["kbessel", "--tolerance", "bad"]])
+                                  ["kbessel", "--tolerance", "bad"],
+                                  # an empty R list
+                                  ["potential-scan", "--R-list", "28..8"],
+                                  ["hiding-scan", "--R-list", "28..8"],
+                                  ["threshold-scan", "--R-list", "28..8"],
+                                  ["lambda-scan", "--R-list", "28..8"]])
 def test_bad_flag_value_exits_2(argv, tmp_path, capsys):
     assert main([*argv, "--out", str(tmp_path)]) == 2
 
@@ -184,10 +191,14 @@ def test_verify_counterexample_on_exported_field(tmp_path, capsys):
     assert report["pass"] and report["file_matches_exact_rebuild"] is True
 
 
-def test_potential_scan_exits_0(tmp_path, capsys):
-    assert main(["potential-scan", "--R-list", "8,9", "--margin", "9",
+@pytest.mark.parametrize("r_list, verdict", [
+    ("8,9", "PASS"),
+    ("8", "VACUOUS"),  # exact equality across one R cannot fail
+])
+def test_potential_scan_exits_0(r_list, verdict, tmp_path, capsys):
+    assert main(["potential-scan", "--R-list", r_list, "--margin", "9",
                  "--out", str(tmp_path), "--stamp", "pinned"]) == 0
-    assert capsys.readouterr().out.startswith("PASS potential_bound: sup|V| = 5,")
+    assert capsys.readouterr().out.startswith(f"{verdict} potential_bound: sup|V| = 5,")
 
 
 def test_exact_range_error_exits_3(tmp_path, capsys, monkeypatch):
@@ -201,7 +212,8 @@ def test_unexpected_exception_exits_4_without_traceback(tmp_path, capsys, monkey
     def boom(*args):
         raise RuntimeError("boom")
 
-    monkeypatch.setitem(cli._DISPATCH, "potential-scan", boom)
+    monkeypatch.setitem(cli._SUBCOMMANDS, "potential-scan",
+                        (*cli._SUBCOMMANDS["potential-scan"][:-1], boom))
     assert main(["potential-scan", "--out", str(tmp_path)]) == 4
     err = capsys.readouterr().err
     assert err.splitlines() == ["internal error: RuntimeError('boom')"]
@@ -386,15 +398,66 @@ def test_kbessel(tmp_path, capsys):
 
 
 def test_report_lists_outputs_and_flags_missing_ones(tmp_path, capsys):
-    assert run("threshold-scan", tmp_path, capsys)[0] == 0
+    assert main(["report", "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == f"VACUOUS outputs_present: no manifests under {tmp_path}\n"
+    verdict = run("threshold-scan", tmp_path, capsys)[1].rstrip("\n")
     assert main(["report", "--out", str(tmp_path)]) == 0
     assert capsys.readouterr().out.splitlines() == [
         "threshold-scan seed=0 (manifest_threshold-scan_0_pinned.json)",
+        f"  {verdict}",
         "  threshold_scan_0_pinned.json: present",
-        "  threshold_scan_0_pinned.tsv: present"]
+        "  threshold_scan_0_pinned.tsv: present",
+        "PASS outputs_present: 0 listed outputs missing"]
     (tmp_path / "threshold_scan_0_pinned.tsv").unlink()
     assert main(["report", "--out", str(tmp_path)]) == 1
-    assert capsys.readouterr().out.splitlines()[2] == "  threshold_scan_0_pinned.tsv: MISSING"
+    assert capsys.readouterr().out.splitlines()[3:] == [
+        "  threshold_scan_0_pinned.tsv: MISSING",
+        "FAIL outputs_present: 1 listed outputs missing"]
+
+
+def _field_with_metadata(tmp_path, metadata):
+    return write_field(tmp_path / "f.bin", LatticeField.delta(LatticeWindow(2, 3)),
+                       metadata=metadata)[0]
+
+
+def _sidecar_holding(path, doc):
+    Path(f"{path}.json").write_text(json.dumps(doc))
+    return path
+
+
+def _truncated_field(tmp_path):
+    (tmp_path / "f.bin").write_bytes(b"CARL")  # the magic and no header
+    return tmp_path / "f.bin"
+
+
+def _manifest_holding(tmp_path, doc):
+    (tmp_path / "manifest_a.json").write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize("subcommand, make_input", [
+    ("verify-counterexample", _truncated_field),
+    ("lambda-scan", _truncated_field),
+    ("verify-counterexample", lambda tmp: _field_with_metadata(tmp, {"kind": "counterexample"})),
+    ("verify-counterexample", lambda tmp: _field_with_metadata(
+        tmp, {"kind": "counterexample", "R": "8", "margin": 8, "mode": "repaired"})),
+    ("verify-counterexample", lambda tmp: _field_with_metadata(tmp, ["counterexample"])),
+    ("verify-counterexample", lambda tmp: _sidecar_holding(_field_with_metadata(tmp, {}), [1])),
+    ("report", lambda tmp: _manifest_holding(tmp, {"x": 1})),
+    ("report", lambda tmp: _manifest_holding(tmp, [1])),
+    ("report", lambda tmp: _manifest_holding(tmp, {"subcommand": "kbessel", "seed": 0,
+                                                   "outputs": 3})),
+    ("report", lambda tmp: _manifest_holding(tmp, {"subcommand": "kbessel", "seed": 0,
+                                                   "outputs": [], "verdicts": 3})),
+], ids=["verify-truncated-field", "lambda-scan-truncated-field", "metadata-without-R",
+        "metadata-with-string-R", "metadata-list", "sidecar-list", "manifest-without-keys",
+        "manifest-list", "manifest-outputs-not-a-list", "manifest-verdicts-not-a-list"])
+def test_malformed_input_file_exits_2_without_traceback(subcommand, make_input, tmp_path,
+                                                        capsys):
+    path = make_input(tmp_path)
+    argv = [subcommand, "--out", str(tmp_path)]
+    assert main([*argv, "--field-from", str(path)] if path else argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(("config error: ", "error: "))
 
 
 def test_import_cli_leaves_scipy_unimported():

@@ -10,7 +10,7 @@ from carleman.counterexample import (CounterexampleSpec, DyadicField,
                                      literal_value, potential_bound_scan,
                                      repaired_ring_values, tail_mass_bound,
                                      verify_counterexample)
-from carleman.errors import ExactRangeError, VerificationFailureError
+from carleman.errors import ExactRangeError
 
 
 def test_origin_value_is_one():
@@ -80,13 +80,6 @@ def test_repaired_mode_passes_all_checks():
     assert report["pass"], report
     assert report["diamond_harmonic"]["residual_sites"] == []
     assert report["l2_tail_certificate"]["pass"]
-
-
-def test_literal_mode_raise_on_failure():
-    spec = CounterexampleSpec(R=10, margin=10, value_mode="literal_paper")
-    u = DyadicField(spec)
-    with pytest.raises(VerificationFailureError):
-        verify_counterexample(u, None, spec, raise_on_failure=True)
 
 
 def test_potential_vanishes_on_diamond():

@@ -47,14 +47,13 @@ def old_tensor_field(window, grid, rng, support_margin=3, site_mask=None):
         h = h * site_mask
     t = grid.nodes
     return SpaceTimeField(window, grid, np.multiply.outer(psi(t), h),
-                          np.multiply.outer(psi.deriv(1)(t), h),
-                          np.multiply.outer(psi.deriv(2)(t), h))
+                          np.multiply.outer(psi.deriv(1)(t), h))
 
 
 def old_admissible_field(spec, window, grid, rng):
     hard, ramp = admissible_site_mask(spec, window)
     f = old_tensor_field(window, grid, rng, support_margin=2, site_mask=ramp)
-    for values in (f.values, f.dvalues, f.ddvalues):
+    for values in (f.values, f.dvalues):
         values[:, ~hard] = 0.0
     return f
 
