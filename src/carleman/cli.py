@@ -139,6 +139,8 @@ _DATUM = {"datum": ("delta", _choice("delta", "bessel_like", "gaussian"), "initi
 def _evolved(p, datum: tuple, run: RunManifest) -> Trajectory:
     """The datum evolved under the _evolution_params values; run.stats gets
     the CN solver stats, the norm drift and the boundary mass with its flag."""
+    if p.L < 0:
+        raise ValueError("A and L must be nonnegative")
     window = LatticeWindow(p.d, p.M)
     potential = (Potential.alternating(window, amplitude=p.L if p.L > 0 else 1.0)
                  if p.potential == "alternating" else Potential.zero(window))

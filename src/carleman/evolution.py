@@ -80,6 +80,18 @@ V, delta datum) max |d log|u|| after one block rises from 2.6e-10 to 2.4e-9
 with 10 steps and from 7.4e-9 to 1.3e-7 with 16, while the fold saves only
 about 10 % of the d = 1 evolve time (M = 128, 10^4 steps: 73 against 80 ms).
 
+Lattice sums avoid BLAS.  Every squared norm of a lattice-sized vector here
+(the stored norm_logs, the residual contract's norms, the boundary mass, the
+datum's normalization) is lattice.mass_sq, which sums in numpy's own einsum
+loops.  A BLAS dot product (np.vdot, np.linalg.norm) on a vector above
+OpenBLAS's threading cutoff wakes numpy's second BLAS thread, which then
+busy-waits between calls for the rest of the stepping loop: at d = 2, M = 64
+(alternating V, dt = 1e-2, T = 1, then the ring and log-convexity scans)
+that cost 1.9-2.0 s of CPU per second of wall time and saved no wall time;
+through mass_sq it is 1.0-1.15.  The SuperLU factor and solves call scipy's
+own BLAS, whose pool stays asleep at d = 2; at d = 3 the solves wake it
+(ROADMAP.md).
+
 scipy is imported only when a stepper or a Laplacian matrix is built, so
 the subcommands that never evolve do not pay its import.
 """
@@ -93,7 +105,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SolverDivergenceError, ZeroObservationError
-from .lattice import LatticeField, LatticeWindow, Potential, star_log_weight
+from .lattice import (LatticeField, LatticeWindow, Potential, boundary_mass_fraction, mass_sq,
+                      star_log_weight)
 
 _RESIDUAL_TOL = 1e-12
 _MAX_BLOCK_STEPS_D1 = 16  # CN steps per solve at d = 1; one step at d >= 2
@@ -200,13 +213,8 @@ class Trajectory:
         return _simpson_weights(len(self.times), float(self.times[1] - self.times[0]))
 
     def boundary_mass(self) -> float:
-        """The largest boundary_mass_fraction over the stored snapshots: one
-        reduction over the shell sites of all of them, one BLAS dot product
-        per snapshot for its total mass."""
-        flat = self.values.reshape(self.n_stored, -1)
-        shell = np.sum(np.abs(flat[:, self.window.boundary_shell.ravel()]) ** 2, axis=1)
-        total = np.array([np.vdot(v, v).real for v in flat])
-        return float(np.max(np.divide(shell, total, out=np.zeros_like(shell), where=total > 0)))
+        """The largest boundary_mass_fraction over the stored snapshots."""
+        return float(np.max(boundary_mass_fraction(self.values, self.window)))
 
     def norm_drift(self) -> float:
         return float(np.max(np.abs(np.exp(self.norm_logs - self.norm_logs[0]) - 1.0)))
@@ -267,14 +275,13 @@ class Stepper:
             self.A, self._B = _power(A, steps), _power(B, steps)
         self._lu = splu(self.A, permc_spec="MMD_AT_PLUS_A")
         self.steps, self.folded = steps, tuple(folded)
-        self._orbit = _orbit_sizes(window, self.folded) if self.folded else None
+        # per float of a vector's float view: its site's orbit size, twice
+        self._orbit = np.repeat(_orbit_sizes(window, self.folded), 2) if self.folded else None
         self.refinement_solves = 0
         self.max_relative_residual = 0.0
 
     def _norm(self, v: np.ndarray) -> float:
-        if self._orbit is None:
-            return math.sqrt(np.vdot(v, v).real)
-        return math.sqrt(np.vdot(v, self._orbit * v).real)
+        return math.sqrt(mass_sq(v.view(float), 1, self._orbit))
 
     def step(self, u: np.ndarray, Au: np.ndarray | None = None) -> tuple:
         """``steps`` CN steps from u, given A u when the caller carries it
@@ -350,7 +357,7 @@ def evolve(u0: LatticeField, cfg: EvolutionConfig) -> Trajectory:
             u, Au = stepper.step(u, Au if stepper is previous else None)
             gap -= steps
         np.take(u, unfold, out=values[k])
-        norm_logs[k] = math.log(np.linalg.norm(values[k]))
+        norm_logs[k] = 0.5 * math.log(mass_sq(values[k], window.d))
     solver_stats = {"refinement_solves": sum(s.refinement_solves for s in steppers.values()),
                     "max_relative_residual": max((s.max_relative_residual
                                                   for s in steppers.values()), default=0.0),
@@ -384,7 +391,7 @@ def make_decaying_datum(window: LatticeWindow, profile: tuple) -> LatticeField:
         raise ValueError(f"unknown datum profile {kind!r}")
     vals = np.exp(np.maximum(log_vals, -745.0))
     vals[log_vals < -745.0] = 0.0
-    vals = vals / np.linalg.norm(vals)
+    vals = vals / math.sqrt(mass_sq(vals, window.d))
     return LatticeField.from_values(window, vals)
 
 

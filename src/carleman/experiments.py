@@ -67,7 +67,7 @@ def lambda_scan(source, cfg: ExperimentConfig) -> dict:
         bmass = source.boundary_mass()
         lams = ring_masses(source, cfg.R_list, time_weights=source.time_weights())
     else:
-        bmass = boundary_mass_fraction(source.values, window)
+        bmass = float(boundary_mass_fraction(source.values, window))
         lams = ring_masses(source, cfg.R_list)
 
     d = window.d

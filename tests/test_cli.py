@@ -269,6 +269,16 @@ def test_flag_the_subcommand_does_not_read_exits_2(argv, tmp_path, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("subcommand", ["evolve", "lambda-scan", "logconvexity"])
+def test_negative_l_exits_2_before_evolving(subcommand, tmp_path, capsys):
+    # a negative sup bound used to run as L = 0 (amplitude 1) and exit 0
+    argv = [subcommand, "--potential", "alternating", "--L", "-2", "--M", "6", "--dt", "1e-2",
+            "--out", str(tmp_path)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: A and L must be nonnegative\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("argv, message", [
     (["commutator-check", "--tolerance", "symetry=1e-30"], "unknown tolerance 'symetry'"),
     (["carleman-check", "--alpha", "0"], "bad value for alpha"),

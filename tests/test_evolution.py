@@ -1,14 +1,20 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import carleman
 from carleman.bessel import bessel_j
 from carleman.errors import SolverDivergenceError, ZeroObservationError
-from carleman.evolution import (EvolutionConfig, Stepper, evolve,
+from carleman.evolution import (EvolutionConfig, Stepper, _orbit_sizes, _quotient, evolve,
                                 laplacian_matrix, make_decaying_datum,
                                 normalize_observation, observation_integral)
-from carleman.lattice import LatticeField, LatticeWindow, Potential, boundary_mass_fraction
+from carleman.lattice import (LatticeField, LatticeWindow, Potential, boundary_mass_fraction,
+                              mass_sq)
 
 
 def dense_cn_oracle(u0, cfg):
@@ -405,6 +411,19 @@ def test_folded_residual_norm_is_the_window_norm():
     assert stepper._norm(vals[6:, 6:].ravel()) == pytest.approx(np.linalg.norm(vals), rel=1e-14)
 
 
+@pytest.mark.parametrize("d, folded", [(2, (0, 1)), (2, (1,)), (3, (0, 1, 2))])
+def test_orbit_weighted_quotient_mass_is_the_window_mass(d, folded):
+    window = LatticeWindow(d, 7)
+    rng = np.random.default_rng(len(folded) * 10 + d)
+    vals = rng.standard_normal(window.shape) + 1j * rng.standard_normal(window.shape)
+    for k in folded:
+        vals = vals + np.flip(vals, k)
+    quotient = vals[_quotient(window, folded)].ravel()
+    full = mass_sq(vals, d)
+    assert abs(mass_sq(quotient, 1, _orbit_sizes(window, folded)) - full) <= (
+        10 * np.finfo(float).eps * full)
+
+
 def test_trajectory_boundary_mass_is_the_per_snapshot_maximum():
     window, cfg = free_config(M=10, dt=1e-2, d=2)
     traj = evolve(LatticeField.delta(window), cfg)
@@ -437,3 +456,33 @@ def test_block_refinement_solves_counted_then_bounded():
     with pytest.raises(SolverDivergenceError):
         stepper.step(u0)
     assert stepper._lu.solves == 4  # the solve and three refinements
+
+
+# The benchmark's d = 2 chain: its lattice sums must not wake a BLAS thread
+# pool, whose woken thread busy-waits between calls and doubles the CPU time.
+# scipy is imported before the clock starts: loading its own BLAS is a
+# once-per-process cost that this does not guard.
+_CPU_PROBE = """
+import time
+import scipy.sparse.linalg
+from carleman import experiments as xp
+from carleman.evolution import EvolutionConfig, evolve, make_decaying_datum, normalize_observation
+from carleman.lattice import LatticeWindow, Potential
+wall, cpu = time.perf_counter(), time.process_time()
+window = LatticeWindow(2, 64)
+cfg = EvolutionConfig(dt=1e-2, T=1.0, window=window, potential=Potential.alternating(window))
+traj = evolve(make_decaying_datum(window, ("delta",)), cfg)
+xp.lambda_scan(normalize_observation(traj), xp.ExperimentConfig())
+xp.log_convexity_check(traj, xp.beta_grid(2.0, 2), xp.ExperimentConfig(L=1.0))
+print((time.process_time() - cpu) / (time.perf_counter() - wall))
+"""
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="one core: no idle thread to spin")
+def test_d2_evolution_and_scans_use_about_one_core():
+    src = str(Path(carleman.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    result = subprocess.run([sys.executable, "-c", _CPU_PROBE], env=env, capture_output=True,
+                            text=True, timeout=120, check=True)
+    assert float(result.stdout) < 1.3

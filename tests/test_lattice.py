@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from carleman.errors import RingOutsideWindowError
 from carleman.lattice import (LatticeField, LatticeWindow, Potential,
-                              boundary_mass_fraction, discrete_laplacian,
+                              boundary_mass_fraction, discrete_laplacian, mass_sq,
                               ring_masses, weighted_log_norm)
 from carleman.logscalar import NEG_INF
 
@@ -144,6 +144,36 @@ def test_boundary_mass_diagnostic():
     # the shell is the two outer rings max_k |j_k| in {M-1, M}
     assert boundary_mass_fraction(LatticeField.delta(w, [w.M - 2]).values, w) == 0.0
     assert boundary_mass_fraction(LatticeField.delta(w, [1 - w.M]).values, w) == 1.0
+
+
+@pytest.mark.parametrize("d, M", [(1, 40), (1, 128), (2, 12), (2, 64)])
+@pytest.mark.parametrize("batch", [(), (3,)])
+def test_mass_sq_matches_blas_and_pairwise_sums(d, M, batch):
+    rng = np.random.default_rng(d * 1000 + M)
+    shape = batch + LatticeWindow(d, M).shape
+    values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    got = mass_sq(values, d)
+    assert got.shape == batch
+    for field, ours in zip(values.reshape((-1,) + shape[len(batch):]), np.ravel(got)):
+        v = field.ravel()
+        exact = math.fsum(np.concatenate([v.real ** 2, v.imag ** 2]).tolist())
+        for ref in (np.vdot(v, v).real, np.linalg.norm(v) ** 2, np.sum(np.abs(v) ** 2), exact):
+            assert abs(ours - ref) <= 10 * np.finfo(float).eps * ref
+    weights = rng.uniform(0.5, 4.0, shape[len(batch):])
+    weighted = mass_sq(values, d, weights)
+    for field, ours in zip(values.reshape((-1,) + weights.shape), np.ravel(weighted)):
+        ref = np.vdot(field, weights * field).real
+        assert abs(ours - ref) <= 10 * np.finfo(float).eps * ref
+
+
+def test_mass_sq_of_zero_and_real_fields():
+    w = LatticeWindow(2, 5)
+    assert mass_sq(np.zeros(w.shape, complex), 2) == 0.0
+    assert mass_sq(np.zeros(w.shape, complex), 2, np.full(w.shape, 2.0)) == 0.0
+    assert np.array_equal(mass_sq(np.zeros((4,) + w.shape), 2), np.zeros(4))
+    real = np.arange(w.site_count, dtype=float).reshape(w.shape)
+    assert mass_sq(real, 2) == float(np.sum(real ** 2))  # integers: every sum is exact
+    assert LatticeField.from_values(w, real).norm_sq() == float(np.sum(real ** 2))
 
 
 def test_potential_sup_norm_exact():
