@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .logscalar import tree_logsumexp
+from .logscalar import log_cosh, logsumexp
 from .quadrature import gauss_legendre
 
 _MAX_SERIES_TERMS = 400  # n + 2k cap; desk-scale arguments converge long before
@@ -51,11 +51,6 @@ def bessel_j(n: int, z: float) -> float:
     return sign * math.fsum(terms)
 
 
-def _log_cosh(t: np.ndarray) -> np.ndarray:
-    t = np.abs(t)
-    return t + np.log1p(np.exp(-2.0 * t)) - math.log(2.0)
-
-
 def bessel_k(nu: float, x: float, n_nodes: int = 400) -> float:
     """log K_nu(x), K_nu(x) = int_0^inf e^{-x cosh t} cosh(nu t) dt, by
     log-domain quadrature.
@@ -70,7 +65,7 @@ def bessel_k(nu: float, x: float, n_nodes: int = 400) -> float:
         raise ValueError("bessel_k requires x > 0")
 
     def log_f(t):
-        return _log_cosh(nu * t) - x * np.cosh(t)
+        return log_cosh(nu * t) - x * np.cosh(t)
 
     t_peak = math.asinh(nu / x) if nu > 0 else 0.0
     peak = float(log_f(np.array([t_peak]))[0])
@@ -79,7 +74,7 @@ def bessel_k(nu: float, x: float, n_nodes: int = 400) -> float:
         t_hi += 1.0
     rule = gauss_legendre(n_nodes, 0.0, t_hi)
     logs = log_f(rule.nodes) + np.log(rule.weights)
-    return tree_logsumexp(logs)
+    return float(logsumexp(logs))
 
 
 def weighted_cosh_integral(j: float, mu: float, n_nodes: int = 800) -> float:
@@ -108,4 +103,4 @@ def weighted_cosh_integral(j: float, mu: float, n_nodes: int = 800) -> float:
         hi += mu
     rule = gauss_legendre(n_nodes, lo, hi)
     logs = log_f(rule.nodes) + np.log(rule.weights)
-    return tree_logsumexp(logs)
+    return float(logsumexp(logs))

@@ -43,7 +43,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ExactRangeError, RepairInfeasibleError
+from .errors import ExactRangeError
 from .lattice import LatticeField, LatticeWindow, Potential
 
 
@@ -103,63 +103,26 @@ def _ring_orbits(R: int) -> list:
     ]
 
 
-def _solve_exact_min_perturbation(A: list, p: list, weights: list) -> list:
-    """Exact minimizer of sum_i w_i (x_i - p_i)^2 subject to A x = 0.
-
-    Lagrange route: x = p - W^{-1} A^T lam with (A W^{-1} A^T) lam = A p,
-    all in Fractions; raises RepairInfeasible when the reduced system is
-    singular but inconsistent.
-    """
-    m, n = len(A), len(p)
-    winv = [Fraction(1, 1) / w for w in weights]
-    G = [[sum(A[r][k] * winv[k] * A[s][k] for k in range(n)) for s in range(m)] for r in range(m)]
-    rhs = [sum(A[r][k] * p[k] for k in range(n)) for r in range(m)]
-    # Gaussian elimination with exact pivoting
-    lam = [Fraction(0)] * m
-    rows = list(range(m))
-    aug = [G[r] + [rhs[r]] for r in range(m)]
-    rank = 0
-    for col in range(m):
-        piv = next((r for r in range(rank, m) if aug[r][col] != 0), None)
-        if piv is None:
-            continue
-        aug[rank], aug[piv] = aug[piv], aug[rank]
-        fr = aug[rank][col]
-        aug[rank] = [v / fr for v in aug[rank]]
-        for r in range(m):
-            if r != rank and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[rank])]
-        rank += 1
-    for r in range(rank, m):
-        if aug[r][m] != 0:
-            raise RepairInfeasibleError("repair system inconsistent", rank=rank, n_unknowns=n)
-    for r in range(rank - 1, -1, -1):
-        lead = next(c for c in range(m) if aug[r][c] == 1)
-        lam[lead] = aug[r][m] - sum(aug[r][c] * lam[c] for c in range(lead + 1, m))
-    x = [p[k] - winv[k] * sum(A[r][k] * lam[r] for r in range(m)) for k in range(n)]
-    return x
-
-
 def repaired_ring_values(R: int) -> dict:
     """Exact minimum-perturbation ring values enforcing Delta u = 0 on the
     diamond boundary; solved on the mirror fundamental domain.
 
     Unknowns (x0..x3) = u at (0, R+3), (1, R+2), (2, R+1), (3, R) with orbit
-    weights (2, 4, 4, 2); constraints from the boundary diamond sites:
+    weights w = (2, 4, 4, 2); constraints from the boundary diamond sites:
         (0, R+2):  x0 + 2 x1          = 0
         (1, R+1):       x1 + x2       = 0
         (2, R):              2 x2 + x3 = 0
+    Their solutions are the multiples of v = (-2, 1, -1, 2), so the minimizer
+    of sum_i w_i (x_i - p_i)^2 over them is the W-orthogonal projection of
+    the literal values p onto v: x = v sum(w v p) / sum(w v^2).
     """
-    A = [
-        [Fraction(1), Fraction(2), Fraction(0), Fraction(0)],
-        [Fraction(0), Fraction(1), Fraction(1), Fraction(0)],
-        [Fraction(0), Fraction(0), Fraction(2), Fraction(1)],
-    ]
+    v = (-2, 1, -1, 2)
     orbits = _ring_orbits(R)
     p = [literal_value(R, *rep) for rep, _ in orbits]
-    weights = [Fraction(len(sites)) for _, sites in orbits]
-    x = _solve_exact_min_perturbation(A, p, weights)
+    weights = [len(sites) for _, sites in orbits]
+    scale = (sum(w * vi * pi for w, vi, pi in zip(weights, v, p))
+             / sum(w * vi * vi for w, vi in zip(weights, v)))
+    x = [vi * scale for vi in v]
     overrides = {}
     for (rep, sites), val in zip(orbits, x):
         for s in sites:

@@ -38,15 +38,6 @@ class ZeroObservationError(CarlemanError):
     """Observation integral too small to normalize against."""
 
 
-class RepairInfeasibleError(CarlemanError):
-    """Exact repair system has no solution; carries rank diagnostics."""
-
-    def __init__(self, message, rank=None, n_unknowns=None):
-        super().__init__(message)
-        self.rank = rank
-        self.n_unknowns = n_unknowns
-
-
 class ExactRangeError(CarlemanError):
     """Exact integer arithmetic would leave int64 or the 2^53 float-exact range."""
 

@@ -16,10 +16,8 @@ import numpy as np
 from .bessel import bessel_k, weighted_cosh_integral
 from .evolution import Trajectory
 from .fitting import best_model
-from .lattice import (boundary_mass_fraction, log_abs_sq, radial_log_sums, ring_masses,
-                      star_log_weight)
-from .logscalar import NEG_INF, logsumexp
-from .operators import log_sinh
+from .lattice import boundary_mass_fraction, radial_log_sums, ring_masses, star_log_weight
+from .logscalar import NEG_INF, log_abs_sq, log_sinh, logsumexp
 
 
 @dataclass(frozen=True)
@@ -282,7 +280,11 @@ def norm_star_equivalence(d: int, j_max: int) -> dict:
 
 def k_bessel_weight_check(mu: float, j_list, growth_j=None) -> dict:
     """The weighted cosh integral against 2 mu K_{mu j}(2/e), plus the
-    mu |j| log |j| growth fit."""
+    mu |j| log |j| growth fit.
+
+    log K_{mu j}(2/e) = mu j log j + (mu log mu) j + O(log j), so the linear
+    term is removed before fitting (j log j, 1), whose slope is then mu.
+    """
     if mu <= 0:
         raise ValueError("mu must be positive")
     rows = []
@@ -295,7 +297,7 @@ def k_bessel_weight_check(mu: float, j_list, growth_j=None) -> dict:
            "max_defect": max(r["relative_defect"] for r in rows)}
     if growth_j is not None:
         js = np.asarray(list(growth_j), dtype=float)
-        logs = np.array([bessel_k(mu * j, 2.0 / math.e) for j in js])
+        logs = np.array([bessel_k(mu * j, 2.0 / math.e) for j in js]) - mu * math.log(mu) * js
         m = js * np.log(js)
         A = np.column_stack([m, np.ones_like(m)])
         coef, *_ = np.linalg.lstsq(A, logs, rcond=None)

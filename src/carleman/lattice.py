@@ -10,7 +10,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import RingOutsideWindowError
-from .logscalar import NEG_INF, logsumexp, tree_logaddexp
+from .logscalar import NEG_INF, log_abs_sq, logsumexp
 
 
 @dataclass(frozen=True)
@@ -151,14 +151,6 @@ def discrete_laplacian(u: LatticeField) -> LatticeField:
     return LatticeField(u.window, laplacian_values(u.values.astype(complex, copy=True), u.window.d))
 
 
-def log_abs_sq(values: np.ndarray) -> np.ndarray:
-    """log |v|^2 per entry with -inf-safe floor for exact zeros."""
-    mag_sq = np.abs(values) ** 2
-    with np.errstate(divide="ignore"):
-        out = np.log(mag_sq)
-    return np.where(mag_sq == 0.0, NEG_INF, out)
-
-
 def weighted_log_norm(values: np.ndarray, log_weights, d: int,
                       time_weights: np.ndarray | None = None) -> np.ndarray:
     """log sqrt( sum_j w_j^2 |u_j|^2 ) over the trailing d lattice axes of
@@ -167,14 +159,14 @@ def weighted_log_norm(values: np.ndarray, log_weights, d: int,
     norm.
 
     log_weights broadcast against values.  The sites, then the time nodes, go
-    through one pairwise tree each (tree_logaddexp), so a batch entry gets
-    exactly the value it would get on its own.
+    through one max-shifted logsumexp each along the last axis, so a batch
+    entry gets exactly the value it would get on its own.
     """
     x = 2.0 * np.asarray(log_weights, dtype=float) + log_abs_sq(values)
     lead = x.shape[:x.ndim - d]
-    total = tree_logaddexp(x.reshape(lead + (math.prod(x.shape[x.ndim - d:]),)))
+    total = logsumexp(x.reshape(lead + (math.prod(x.shape[x.ndim - d:]),)))
     if time_weights is not None:
-        total = tree_logaddexp(total + np.log(time_weights))
+        total = logsumexp(total + np.log(time_weights))
     return 0.5 * total
 
 

@@ -1,43 +1,22 @@
-"""Deterministic log-domain reductions.
+"""The log-domain primitives, each defined once: logsumexp, log_abs_sq,
+log_sinh and log_cosh.
 
 Carleman weights reach e^{alpha(4+1/R)^2} with alpha = c R log R, far beyond
 float range, so every weighted magnitude is carried as its natural log, a
 plain float (-inf for zero); every such magnitude is nonnegative, so no sign
-is carried.
+is carried.  Each primitive works entrywise on arrays (logsumexp along one
+axis), and a batch of rows reduced along the last axis gets exactly the values
+the rows would get one at a time.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+import math
 
 import numpy as np
 
 NEG_INF = float("-inf")
-
-
-def tree_logaddexp(x: np.ndarray) -> np.ndarray:
-    """log(sum(exp(x))) along the last axis, for nonnegative terms, via a
-    pairwise tree.
-
-    Deterministic: pads the last axis to a power of two with -inf and folds
-    halves, so the association pattern depends only on its length and every
-    leading index is reduced exactly as it would be on its own.
-    """
-    x = np.asarray(x, dtype=float)
-    n = x.shape[-1]
-    if n == 0:
-        return np.full(x.shape[:-1], NEG_INF)
-    size = 1 << (n - 1).bit_length()
-    if size != n:
-        x = np.concatenate([x, np.full(x.shape[:-1] + (size - n,), NEG_INF)], axis=-1)
-    while x.shape[-1] > 1:
-        x = np.logaddexp(x[..., 0::2], x[..., 1::2])
-    return x[..., 0]
-
-
-def tree_logsumexp(logs: np.ndarray | Sequence[float]) -> float:
-    """log(sum(exp(logs))) over every entry: the 1-d case of tree_logaddexp."""
-    return float(tree_logaddexp(np.asarray(logs, dtype=float).ravel()))
+_LOG_2 = math.log(2.0)
 
 
 def logsumexp(x: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -48,3 +27,24 @@ def logsumexp(x: np.ndarray, axis: int = -1) -> np.ndarray:
     with np.errstate(divide="ignore"):
         out = shift + np.log(np.sum(np.exp(x - shift), axis=axis, keepdims=True))
     return np.squeeze(out, axis=axis)
+
+
+def log_abs_sq(values: np.ndarray) -> np.ndarray:
+    """log |v|^2 per entry as 2 log |v|, so magnitudes whose squares would
+    underflow keep their digits; -inf for exact zeros."""
+    with np.errstate(divide="ignore"):
+        return 2.0 * np.log(np.abs(values))
+
+
+def log_sinh(x):
+    """log sinh x = x + log(1 - e^{-2x}) - log 2 per entry; every x must be > 0."""
+    x = np.asarray(x, dtype=float)
+    if x.size and x.min() <= 0:
+        raise ValueError("log_sinh needs x > 0")
+    return (x + np.log(-np.expm1(-2.0 * x)) - _LOG_2)[()]
+
+
+def log_cosh(x):
+    """log cosh x = |x| + log(1 + e^{-2|x|}) - log 2 per entry."""
+    x = np.abs(x)
+    return (x + np.log1p(np.exp(-2.0 * x)) - _LOG_2)[()]

@@ -33,14 +33,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from numpy.polynomial import polynomial as P
 
 from .errors import NonFiniteError, SupportViolationError, ToleranceExceededError
 from .lattice import LatticeWindow, laplacian_values, weighted_log_norm
-from .logscalar import NEG_INF
+from .logscalar import NEG_INF, log_cosh, log_sinh
 from .profiles import TimeProfile, WeightSpec, _glue_h, weight_log_magnitude
 from .quadrature import QuadratureRule, gauss_legendre
 
@@ -58,12 +57,11 @@ def make_time_grid(n_nodes: int = 24) -> QuadratureRule:
 def _integral(grid: QuadratureRule, d: int, density: np.ndarray):
     """Time quadrature of the site sum of a (..., T, *window.shape) density.
 
-    One BLAS dot per trial, as for a single field: a matrix-vector product
-    rounds a trial differently depending on how many trials share the call.
+    Both sums run along trailing axes, row by row, so a trial in a batch gets
+    exactly the value it would get on its own.
     """
     per_node = np.sum(density, axis=tuple(range(-d, 0)))
-    rows = per_node.reshape(-1, per_node.shape[-1])
-    return np.array([np.dot(grid.weights, row) for row in rows]).reshape(per_node.shape[:-1])[()]
+    return np.sum(per_node * grid.weights, axis=-1)[()]
 
 
 @dataclass
@@ -489,30 +487,7 @@ def conjugation_check(spec: WeightSpec, window: LatticeWindow, trials: int, seed
 
 
 # ---------------------------------------------------------------------------
-# log-domain hyperbolic helpers and the proof's hiding inequalities
-
-
-def log_sinh(x: float) -> float:
-    if x <= 0:
-        raise ValueError("log_sinh needs x > 0")
-    if x < 1e-4:
-        return math.log(x) + math.log1p(x * x / 6.0)
-    if x > 350.0:
-        return x - math.log(2.0)
-    return math.log(math.sinh(x))
-
-
-def log_cosh(x: float) -> float:
-    x = abs(x)
-    if x > 350.0:
-        return x - math.log(2.0)
-    return math.log(math.cosh(x))
-
-
-def _each(fn: Callable[[float], float], x: np.ndarray) -> np.ndarray:
-    """A scalar math function applied entry by entry; numpy's vectorized
-    sinh, cosh and log can round the last bit differently from libm."""
-    return np.array([fn(v) for v in x.ravel().tolist()]).reshape(x.shape)
+# the proof's hiding inequalities
 
 
 def hiding_sides(alpha: float, R: float, d: int, sup_d1: float, sup_d2: float, s) -> dict:
@@ -526,10 +501,10 @@ def hiding_sides(alpha: float, R: float, d: int, sup_d1: float, sup_d2: float, s
     s = np.asarray(s, dtype=float)
     x = 2.0 * alpha * s / R
     none = np.full(s.shape, -math.inf)
-    sides = {"log_lhs": log_sinh(2.0 * alpha / R**2) + 2.0 * _each(log_sinh, x)}
+    sides = {"log_lhs": log_sinh(2.0 * alpha / R**2) + 2.0 * log_sinh(x)}
     sides["log_rhs_A"] = (math.log(8.0 * alpha * sup_d1 / R) + log_cosh(alpha / R**2)
-                          + _each(log_cosh, x)) if sup_d1 > 0 else none
-    sides["log_rhs_B"] = _each(math.log, 2.0 * alpha * sup_d2 * s) if sup_d2 > 0 else none
+                          + log_cosh(x)) if sup_d1 > 0 else none
+    sides["log_rhs_B"] = np.log(2.0 * alpha * sup_d2 * s) if sup_d2 > 0 else none
     return {key: side[()] for key, side in sides.items()}
 
 
@@ -570,27 +545,19 @@ def absorption_threshold(alpha: float, R: float, L: float, d: int) -> bool:
     if min(alpha, R, L) <= 0 or d < 1:
         raise ValueError("all arguments must be positive")
     lhs = log_sinh(2.0 * alpha / R**2) + 2.0 * log_sinh(2.0 * alpha / (math.sqrt(d) * R))
-    return lhs >= 2.0 * math.log(L)
+    return bool(lhs >= 2.0 * math.log(L))
 
 
-def phi_rate_scan(phi_growth: str | Callable[[float], float], c: float, L: float, d: int,
-                  R_list) -> list:
-    """Per R, whether alpha = c R phi(R) clears the absorption threshold.
-
-    phi_growth: "log", "sqrt_log", or a callable R -> phi(R).
-    """
-    if callable(phi_growth):
-        fn, name = phi_growth, getattr(phi_growth, "__name__", "custom")
-    elif phi_growth == "log":
-        fn, name = (lambda r: math.log(r)), "log"
-    elif phi_growth == "sqrt_log":
-        fn, name = (lambda r: math.sqrt(math.log(r))), "sqrt_log"
-    else:
+def phi_rate_scan(phi_growth: str, c: float, L: float, d: int, R_list) -> list:
+    """Per R, whether alpha = c R phi(R) clears the absorption threshold, for
+    phi_growth "log" (phi = log R) or "sqrt_log" (phi = sqrt(log R))."""
+    growth = {"log": math.log, "sqrt_log": lambda r: math.sqrt(math.log(r))}
+    if phi_growth not in growth:
         raise ValueError(f"unknown phi growth {phi_growth!r}")
     rows = []
     for R in R_list:
-        alpha = c * R * fn(R)
-        rows.append({"R": float(R), "phi_growth": name, "alpha": alpha,
+        alpha = c * R * growth[phi_growth](R)
+        rows.append({"R": float(R), "phi_growth": phi_growth, "alpha": alpha,
                      "holds": absorption_threshold(alpha, R, L, d)})
     return rows
 
@@ -648,9 +615,7 @@ def carleman_ratio(spec: WeightSpec, g: SpaceTimeField, support_tol: float = 1e-
         raise SupportViolationError("(i d_t + Delta_d) g vanishes; ratio undefined")
     factor_log = 0.5 * log_sinh(2.0 * spec.alpha / spec.R**2) + log_sinh(
         2.0 * spec.alpha / (math.sqrt(spec.d) * spec.R))
-    logs = factor_log + log_wg - log_wpg
-    # math.exp, not np.exp, for the same reason as _each
-    return np.array([math.exp(x) for x in np.ravel(logs).tolist()]).reshape(np.shape(logs))[()]
+    return np.exp(factor_log + log_wg - log_wpg)[()]
 
 
 def carleman_constant_batch(spec: WeightSpec, window: LatticeWindow, trials: int, seed: int,

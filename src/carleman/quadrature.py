@@ -25,16 +25,13 @@ class QuadratureRule:
 
 
 _NEWTON_STEPS = 20  # three or four reach 1e-14 from Tricomi's seeds for n <= 800
-_COMPANION_MAX_N = 100  # numpy's dense n x n companion matrix is at most 80 kB
 
 
 @lru_cache(maxsize=32)
 def _reference_rule(n: int):
-    """Read-only n-node Gauss-Legendre nodes and weights on [-1, 1]; callers
-    ask for a few distinct n many times.  Up to _COMPANION_MAX_N nodes this is
-    numpy's ``leggauss``; beyond, ``_newton_rule``, which builds no n x n
-    matrix."""
-    x, w = legendre.leggauss(n) if n <= _COMPANION_MAX_N else _newton_rule(n)
+    """Read-only n-node Gauss-Legendre nodes and weights on [-1, 1], from
+    ``_newton_rule`` for every n; callers ask for a few distinct n many times."""
+    x, w = _newton_rule(n)
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w
@@ -49,8 +46,9 @@ def _newton_rule(n: int):
     three-term recurrence, vectorised over the roots and started from
     Tricomi's approximation; numpy's final Newton step, weight formula and
     symmetrisation follow unchanged.  The nodes agree with ``leggauss`` to an
-    ulp and the weights to 1.3e-11 relative at n = 800, the last bits only,
-    which is why the small rules stay numpy's own.
+    ulp and the weights to 1.3e-11 relative at n = 800, the last bits only.
+    Against 30-digit mpmath the weights are off by 4.7e-15 relative at n = 7
+    and 9.6e-14 at n = 24 (``leggauss``: 8.9e-16 and 1.2e-13).
     """
     x = np.cos(np.pi * (np.arange(n, 0, -1) - 0.25) / (n + 0.5))  # ascending
     for _ in range(_NEWTON_STEPS):

@@ -407,6 +407,46 @@ def test_kbessel(tmp_path, capsys):
     assert abs(report["growth_exponent"] - 1.0) <= 0.1
 
 
+@pytest.mark.parametrize("mu", ["0.5", "2", "3"])
+def test_kbessel_growth_exponent_is_mu(mu, tmp_path, capsys):
+    # log K_{mu j}(2/e) carries a (mu log mu) j term that a (j log j, 1) fit
+    # would fold into the slope: 2.2456 at mu = 2 before it was removed
+    assert manifest_of("kbessel", tmp_path, "--mu", mu)["verdicts"][0].startswith("PASS kbessel")
+    capsys.readouterr()
+    report = json.loads((tmp_path / "kbessel_0_pinned.json").read_text())
+    assert abs(report["growth_exponent"] - float(mu)) <= 0.005
+
+
+def _leaves(obj):
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, list):
+        return [leaf for item in obj for leaf in _leaves(item)]
+    return [obj]
+
+
+@pytest.mark.parametrize("subcommand, flags", [
+    ("threshold-scan", ["--d", "2", "--R-list", "4..9"]),
+    ("hiding-scan", ["--grid-points", "20"]),
+    ("lambda-scan", RUNS["lambda-scan"]),
+])
+def test_report_booleans_stay_json_booleans(subcommand, flags, tmp_path, capsys):
+    # a numpy bool would reach the JSON as the string "True"
+    manifest_of(subcommand, tmp_path, *flags)
+    capsys.readouterr()
+    name = subcommand.replace("-", "_")
+    report = json.loads((tmp_path / f"{name}_0_pinned.json").read_text())
+    leaves = _leaves(report)
+    assert not {"True", "False"} & {leaf for leaf in leaves if isinstance(leaf, str)}
+    if subcommand == "threshold-scan":
+        bools = report["log"]["holds"] + report["sqrt_log"]["holds"]
+    elif subcommand == "hiding-scan":
+        bools = [report["nonincreasing"]]
+    else:
+        bools = report["lower_bound_holds_per_row"]
+    assert bools and all(isinstance(b, bool) for b in bools)
+
+
 def test_report_lists_outputs_and_flags_missing_ones(tmp_path, capsys):
     assert main(["report", "--out", str(tmp_path)]) == 0
     assert capsys.readouterr().out == f"VACUOUS outputs_present: no manifests under {tmp_path}\n"

@@ -2,8 +2,9 @@
 
 The oracles below draw each trial's fields with np.polynomial.Polynomial,
 project them onto the admissible set explicitly and evaluate the weighted
-norms one time node at a time, then loop over trials exactly as the checks
-used to.  Carleman ratios and minimal hiding constants must agree bit for bit.
+norms one time node at a time, with the checks' own log-domain primitives,
+then loop over trials exactly as the checks used to.  Carleman ratios and
+minimal hiding constants must agree bit for bit.
 The identity-check defects are rounding residuals already normalized by the
 fields' own scale, so they must agree to 1e-15 in that unit: their leading
 digits can move when a block's numpy temporaries round differently.
@@ -16,13 +17,13 @@ import pytest
 
 from carleman import operators
 from carleman.errors import SupportViolationError, ToleranceExceededError
-from carleman.lattice import LatticeWindow, laplacian_values, log_abs_sq
-from carleman.logscalar import tree_logsumexp
+from carleman.lattice import LatticeWindow, laplacian_values
+from carleman.logscalar import log_abs_sq, log_cosh, log_sinh, logsumexp
 from carleman.operators import (OperatorCoefficients, SpaceTimeField, admissible_site_mask,
                                 apply_a, apply_s, apply_s_plus_a, carleman_constant_batch,
                                 carleman_ratio, commutator_check, commutator_lhs,
                                 commutator_quadratic_form, conjugation_check,
-                                conjugation_oracle, hiding_sides, log_cosh, log_sinh,
+                                conjugation_oracle, hiding_sides,
                                 make_time_grid, minimal_hiding_constant, symmetry_check,
                                 symmetry_defects)
 from carleman.profiles import TimeProfile, WeightSpec, weight_log_magnitude
@@ -72,13 +73,13 @@ def old_carleman_ratio(spec, g):
     pg = 1j * g.dvalues + laplacian_values(g.values.astype(complex, copy=True), window.d)
 
     def log_norm(values):
-        per_node = [tree_logsumexp(2.0 * log_w[n] + log_abs_sq(values[n]))
+        per_node = [logsumexp((2.0 * log_w[n] + log_abs_sq(values[n])).ravel())
                     for n in range(len(grid.nodes))]
-        return 0.5 * tree_logsumexp(np.array(per_node) + np.log(grid.weights))
+        return 0.5 * logsumexp(np.array(per_node) + np.log(grid.weights))
 
     factor_log = 0.5 * log_sinh(2.0 * spec.alpha / spec.R**2) + log_sinh(
         2.0 * spec.alpha / (math.sqrt(spec.d) * spec.R))
-    return math.exp(factor_log + log_norm(g.values) - log_norm(pg))
+    return float(np.exp(factor_log + log_norm(g.values) - log_norm(pg)))
 
 
 def old_carleman_ratios(spec, window, trials, seed):
@@ -142,21 +143,16 @@ def old_conjugation(spec, window, trials, seed):
 
 
 def old_hiding_constant(d, R, phi, s_grid, c_lo=1e-3, c_hi=64.0):
-    """The scalar bisection, testing every grid point at every step."""
-    def sides(alpha, s):
-        lhs = log_sinh(2.0 * alpha / R**2) + 2.0 * log_sinh(2.0 * alpha * s / R)
-        rhs_a = (math.log(8.0 * alpha * phi.sup_d1 / R) + log_cosh(alpha / R**2)
-                 + log_cosh(2.0 * alpha * s / R)) if phi.sup_d1 > 0 else -math.inf
-        rhs_b = math.log(2.0 * alpha * phi.sup_d2 * s) if phi.sup_d2 > 0 else -math.inf
-        return lhs, rhs_a, rhs_b
+    """The bisection testing every grid point at every step."""
+    s = np.asarray(s_grid, dtype=float)
 
     def holds(c):
         alpha = c * R * math.log(R)
-        for s in s_grid:
-            lhs, rhs_a, rhs_b = sides(alpha, float(s))
-            if lhs < max(rhs_a, rhs_b):
-                return False
-        return True
+        lhs = log_sinh(2.0 * alpha / R**2) + 2.0 * log_sinh(2.0 * alpha * s / R)
+        rhs_a = (math.log(8.0 * alpha * phi.sup_d1 / R) + log_cosh(alpha / R**2)
+                 + log_cosh(2.0 * alpha * s / R)) if phi.sup_d1 > 0 else -math.inf
+        rhs_b = np.log(2.0 * alpha * phi.sup_d2 * s) if phi.sup_d2 > 0 else -math.inf
+        return not np.any(lhs < np.maximum(rhs_a, rhs_b))
 
     if phi.sup_d1 == 0.0 and phi.sup_d2 == 0.0:
         return 0.0

@@ -6,14 +6,14 @@ import pytest
 from carleman import operators
 from carleman.errors import SupportViolationError
 from carleman.lattice import LatticeWindow, laplacian_values
+from carleman.logscalar import log_cosh, log_sinh
 from carleman.operators import (OperatorCoefficients, SpaceTimeField,
                                 absorption_threshold, apply_a, apply_s,
                                 apply_s_plus_a, carleman_constant_batch,
                                 carleman_ratio, commutator_check,
                                 commutator_lhs, commutator_quadratic_form,
                                 conjugation_check, conjugation_oracle,
-                                hiding_sides, inner,
-                                log_cosh, log_sinh, make_time_grid,
+                                hiding_sides, inner, make_time_grid,
                                 minimal_hiding_constant, phi_rate_scan,
                                 admissible_site_mask, random_tensor_field,
                                 symmetry_check, symmetry_defects)

@@ -11,13 +11,18 @@ import pytest
 from carleman.evolution import Trajectory
 from carleman.experiments import (ExperimentConfig, _interior_indices, log_convexity_check,
                                   star_weight_sup_log_rho)
-from carleman.lattice import LatticeField, LatticeWindow, log_abs_sq, ring_masses
-from carleman.logscalar import NEG_INF, tree_logsumexp
+from carleman.lattice import LatticeField, LatticeWindow, ring_masses
+from carleman.logscalar import NEG_INF, log_abs_sq, logsumexp
 
 LOG_TOL = 1e-12
 
 
-# --- oracles: one full tree log-sum per ring, per (beta, t), per (mu', t) ---
+# --- oracles: one full log-sum per ring, per (beta, t), per (mu', t) ---
+
+
+def log_total(logs):
+    """log(sum(exp(logs))) over every entry."""
+    return float(logsumexp(np.ravel(logs)))
 
 
 def oracle_ring_mask(window, R):
@@ -26,14 +31,14 @@ def oracle_ring_mask(window, R):
 
 
 def oracle_ring_log_mass(u, R, time_weights=None):
-    """log lambda(R)^2: tree log-sum over the ring mask at each node, then
+    """log lambda(R)^2: log-sum over the ring mask at each node, then
     over nodes with the log time weights."""
     mask = oracle_ring_mask(u.window, R)
     if time_weights is None:
-        return tree_logsumexp(log_abs_sq(u.values[mask]))
-    per_node = np.array([tree_logsumexp(log_abs_sq(u.values[n][mask]))
+        return log_total(log_abs_sq(u.values[mask]))
+    per_node = np.array([log_total(log_abs_sq(u.values[n][mask]))
                          for n in range(u.values.shape[0])])
-    return tree_logsumexp(per_node + np.log(time_weights))
+    return log_total(per_node + np.log(time_weights))
 
 
 def oracle_log_rho_rows(traj, beta_list, n_times=9):
@@ -47,9 +52,9 @@ def oracle_log_rho_rows(traj, beta_list, n_times=9):
         w = np.zeros(window.shape)
         for k in range(window.d):
             w = w + 2.0 * float(beta[k]) * window.coordinate(k)
-        den = tree_logsumexp(np.concatenate([(w + l0).ravel(), (w + l1).ravel()]))
+        den = log_total(np.concatenate([(w + l0).ravel(), (w + l1).ravel()]))
         for i in idxs:
-            num = tree_logsumexp(w + log_abs_sq(traj.values[i]))
+            num = log_total(w + log_abs_sq(traj.values[i]))
             rows.append({"beta": beta.tolist(), "t": float(traj.times[i]), "log_rho": num - den})
     return rows
 
@@ -63,8 +68,8 @@ def oracle_star_sup_log_rho(traj, mu_grid):
     out = []
     for mu_p in mu_grid:
         w = 2.0 * float(mu_p) * r * np.log(r + 1.0)
-        den = tree_logsumexp(np.concatenate([(w + l0).ravel(), (w + l1).ravel()]))
-        out.append(max(tree_logsumexp(w + log_abs_sq(traj.values[i])) - den for i in idxs))
+        den = log_total(np.concatenate([(w + l0).ravel(), (w + l1).ravel()]))
+        out.append(max(log_total(w + log_abs_sq(traj.values[i])) - den for i in idxs))
     return np.array(out)
 
 
