@@ -42,43 +42,67 @@ alternating V (4.5e-7 and 1.7e-6 after the second block; single steps stay
 within 5.7e-14).  Choosing the block lengths so the deep tail keeps its
 digits is open (ROADMAP.md, P0); reports at the CLI defaults are not affected.
 
-The reflection fold.  The data the lower bound is tested on (delta,
+The symmetry quotient.  The data the lower bound is tested on (delta,
 Gaussian, e^{-mu |j| log(|j|+1)}) and the zero and alternating potentials are
-even under every reflection j_k -> -j_k, and CN keeps that symmetry.  So at
-d >= 2 ``evolve`` folds every axis on which both the datum and the potential
-are exactly even and steps on the quotient: the sites j_k >= 0 of a folded
-axis, M + 1 of them instead of 2M + 1.  There the 1-d second difference is
-the ordinary one except for the entry (0, 1), which is 2, because
-u_1 + u_{-1} = 2 u_1.  That entry is exact in floating point, so the quotient
-system is the full one restricted to the quotient, still a sparse kron sum,
-factored the same way; a matvec differs from the full one only in the order
-in which the rows at j_k = 0 are summed.
-Each stored node is unfolded by indexing with |j_k|, and the residual
-contract weights each quotient site by the number of window sites it stands
-for (1 or 2 per folded axis), so it bounds the full-window residual.  A
-datum or potential that is not even on an axis leaves that axis unfolded,
-and with no axis folded the steps are the unfolded ones above, bit for bit.
+invariant under every reflection j_k -> -j_k and every swap j_k <-> j_l of
+two axes, and CN keeps every symmetry that the datum and the potential share.
+So at d >= 2 ``evolve`` takes the group generated by the reflections of the
+axes on which both are exactly even and the swaps of the pairs of those axes
+on which both are exactly symmetric, and steps on its quotient
+(lattice.SiteOrbits): one unknown per orbit, held at its representative,
+whose coordinates are |j_k|, sorted in decreasing order within each class of
+swapped axes.  The quotient matrix is A_q = R A S, where R picks the
+representatives' rows and S sums each orbit's columns.  A site's neighbour is
+never in the site's own orbit (sum_k |j_k| is constant on an orbit and
+changes by 1 between neighbours), so every entry of A_q is a diagonal entry
+of A or an integer multiple of an off-diagonal one, exact in floating point:
+A_q is the full system restricted to orbit-invariant fields, factored the
+same way.  Each stored node is unfolded by np.take through the orbit map, and
+the residual contract weights each unknown by its orbit size, so it bounds the
+full-window residual.  With reflections only, the unknowns are the sites
+j_k >= 0 of the folded axes in C order and A_q is entry for entry the folded
+1-d second differences' kron sum, so the steps are bit for bit those of a
+reflection-only fold.  An axis on which the datum or the potential is not
+even is neither folded nor swapped; with no symmetry at all the steps are the
+unfolded ones above, bit for bit.
 
-The fold keeps the sitewise accuracy that FFT or DST solvers lose: those mix
-every site into every coefficient, so their rounding error is about 1e-16
+What the quotient saves (alternating V, dt = 1e-2, bessel_like datum; medians
+on 2 vCPUs):
+
+    window          group               unknowns   nnz(L+U)   factor    one step
+    d = 2, M = 64   reflections             4225      132 k    19 ms     1.00 ms
+    d = 2, M = 64   reflections, swap       2145       53 k     7 ms     0.52 ms
+    d = 3, M = 16   reflections             4913      777 k   134 ms     3.0 ms
+    d = 3, M = 16   reflections, swaps       969       44 k     8 ms     0.41 ms
+    d = 3, M = 24   reflections            15625     4.77 M   1.24 s    19.9 ms
+    d = 3, M = 24   reflections, swaps      2925      234 k    34 ms     1.33 ms
+
+A step is one solve and one matvec; at d = 2, M = 64 the solve takes 0.35 ms
+instead of 0.82 ms and the matvec 0.046 ms instead of 0.085 ms.  The
+reflection fold alone had taken 1000 steps at d = 2, M = 64 (dt = 1e-3) from
+6.7 s to 1.06 s, with 4225 unknowns instead of 16641.
+
+The quotient keeps the sitewise accuracy that FFT or DST solvers lose: those
+mix every site into every coefficient, so their rounding error is about 1e-16
 times the norm at every site and swamps a tail below that, while the sparse
 LU solves the same nearest-neighbour recurrence on fewer unknowns.  Against
-the unfolded stepper (alternating V, dt = 1e-2, T = 1), the trajectories keep
-the same zero pattern, and max |d log|u|| is 1.1e-13 down to |u| = 1.4e-257
-from a delta at d = 2, M = 64.  From the bessel_like datum at M = 24 the two
-differ by 8.3e-8 at |u| = 1.7e-47 in the corner of the window, where each
-differs from a dense LAPACK recurrence by about 9e-8 (9.5e-8 unfolded,
-8.6e-8 folded).  The quotient has 4225 unknowns at d = 2, M = 64 instead of
-16641: 1000 steps there (dt = 1e-3, alternating V, delta datum) take 1.06 s
-instead of 6.7 s (CPU 2.0 s, was 12.5 s), and at d = 3, M = 12 1.06 s
-instead of 42 s (2 vCPUs).
+the reflection-only and the unfolded steppers (alternating V, dt = 1e-2,
+T = 1) the trajectories keep the same zero pattern, and max |d log|u|| is
+1.1e-13 down to |u| = 1.8e-241 from a delta at d = 2, M = 64, and at most
+8.9e-13 at d = 3, M = 6.  From the bessel_like datum at d = 2, M = 24 the
+swap quotient differs from the reflection-only stepper by 4.2e-8 and from the
+unfolded one by 8.2e-8, at |u| near 3e-49 in the corner of the window.  There
+float CN itself loses digits: against the CN recurrence in 40-digit
+arithmetic, the reflection-only stepper is off by 1.8e-8 and the unfolded one
+by 6.3e-8 at t = 1 (ROADMAP.md, Direction 6).
 
-At d = 1 nothing is folded.  The minimum-degree ordering of the folded A^k is
-not the natural one, and it costs relative accuracy deep in the tail of a
-first block: against a dense-solve oracle (M = 34, dt = 1e-3, alternating
-V, delta datum) max |d log|u|| after one block rises from 2.6e-10 to 2.4e-9
-with 10 steps and from 7.4e-9 to 1.3e-7 with 16, while the fold saves only
-about 10 % of the d = 1 evolve time (M = 128, 10^4 steps: 73 against 80 ms).
+At d = 1 ``evolve`` steps on the trivial group.  The minimum-degree ordering of
+the folded A^k is not the natural one, and it costs relative accuracy deep in
+the tail of a first block: against a dense-solve oracle (M = 34, dt = 1e-3,
+alternating V, delta datum) max |d log|u|| after one block rises from 2.6e-10
+to 2.4e-9 with 10 steps and from 7.4e-9 to 1.3e-7 with 16, while the fold
+saves only about 10 % of the d = 1 evolve time (M = 128, 10^4 steps: 73
+against 80 ms).
 
 Lattice sums avoid BLAS.  Every squared norm of a lattice-sized vector here
 (the stored norm_logs, the residual contract's norms, the boundary mass, the
@@ -89,8 +113,8 @@ busy-waits between calls for the rest of the stepping loop: at d = 2, M = 64
 (alternating V, dt = 1e-2, T = 1, then the ring and log-convexity scans)
 that cost 1.9-2.0 s of CPU per second of wall time and saved no wall time;
 through mass_sq it is 1.0-1.15.  The SuperLU factor and solves call scipy's
-own BLAS, whose pool stays asleep at d = 2; at d = 3 the solves wake it
-(ROADMAP.md).
+own BLAS, whose pool stays asleep at d = 2 and at d = 3, M = 16 (969
+unknowns); at d = 3, M = 24 (2925 unknowns) an evolve wakes it (ROADMAP.md).
 
 scipy is imported only when a stepper or a Laplacian matrix is built, so
 the subcommands that never evolve do not pay its import.
@@ -99,66 +123,70 @@ the subcommands that never evolve do not pay its import.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import SolverDivergenceError, ZeroObservationError
-from .lattice import (LatticeField, LatticeWindow, Potential, boundary_mass_fraction, mass_sq,
-                      star_log_weight)
+from .lattice import (LatticeField, LatticeWindow, Potential, SiteOrbits, boundary_mass_fraction,
+                      mass_sq, snapshot_blocks, star_log_weight)
 
 _RESIDUAL_TOL = 1e-12
 _MAX_BLOCK_STEPS_D1 = 16  # CN steps per solve at d = 1; one step at d >= 2
 
 
-def laplacian_matrix(window: LatticeWindow, folded: tuple = ()) -> "scipy.sparse.csc_matrix":
-    """Sparse Delta_d with zero padding: kron sum of 1-d second differences.
-
-    On each axis k in ``folded`` the matrix acts on fields even in j_k, stored
-    on the sites j_k >= 0 (M + 1 of them): the 1-d second difference there is
-    the ordinary one except for the entry (0, 1), which is 2, since
-    u_1 + u_{-1} = 2 u_1.
-    """
+def laplacian_matrix(window: LatticeWindow) -> "scipy.sparse.csc_matrix":
+    """Sparse Delta_d with zero padding: kron sum of 1-d second differences."""
     import scipy.sparse as sp
 
-    factors = []
-    for k in range(window.d):
-        n = window.M + 1 if k in folded else 2 * window.M + 1
-        ones = np.ones(n)
-        upper = ones[:-1].copy()
-        if k in folded:
-            upper[0] = 2.0
-        factors.append(sp.diags([ones[:-1], -2.0 * ones, upper], [-1, 0, 1], format="csc"))
+    n = 2 * window.M + 1
+    ones = np.ones(n)
+    lap1 = sp.diags([ones[:-1], -2.0 * ones, ones[:-1]], [-1, 0, 1], format="csc")
+    eye = sp.identity(n, format="csc")
     total = None
     for k in range(window.d):
         term = None
-        for pos, lap1 in enumerate(factors):
-            factor = lap1 if pos == k else sp.identity(lap1.shape[0], format="csc")
+        for pos in range(window.d):
+            factor = lap1 if pos == k else eye
             term = factor if term is None else sp.kron(term, factor, format="csc")
         total = term if total is None else total + term
     return total.tocsc()
 
 
-def _quotient(window: LatticeWindow, folded: tuple) -> tuple:
-    """The sites j_k >= 0 of each folded axis, every site of the others."""
-    return tuple(slice(window.M, None) if k in folded else slice(None) for k in range(window.d))
+def quotient_matrix(matrix, orbits: SiteOrbits) -> "scipy.sparse.csc_matrix":
+    """R matrix S on the orbits: R picks each orbit's representative row and
+    S sums each orbit's columns, so the result maps orbit-invariant fields,
+    held at the representatives, as matrix maps them on the window.
+
+    For a nearest-neighbour matrix every sum is of equal off-diagonal
+    entries, and a site's own orbit holds none of its neighbours (sum_k |j_k|
+    is constant on an orbit and changes by 1 between neighbours), so the
+    quotient entries are exact multiples of the window's."""
+    import scipy.sparse as sp
+
+    n = orbits.window.site_count
+    S = sp.csr_matrix((np.ones(n), (np.arange(n), orbits.site_orbit.ravel())),
+                      shape=(n, orbits.count))
+    return (matrix.tocsr()[orbits.representatives] @ S).tocsc()
 
 
-def _orbit_sizes(window: LatticeWindow, folded: tuple) -> np.ndarray:
-    """Per quotient site, the number of window sites it stands for: 2 for
-    each folded axis on which j_k != 0, flattened in the quotient's order."""
-    sizes = 2.0 ** sum(window.coordinate(k) != 0 for k in folded)
-    return np.broadcast_to(sizes, window.shape)[_quotient(window, folded)].ravel()
-
-
-def _even_axes(u0: LatticeField, potential: Potential) -> tuple:
-    """The lattice axes k on which both the datum and the potential are
-    exactly even under j_k -> -j_k; evolution keeps that symmetry."""
+def _symmetry(u0: LatticeField, potential: Potential) -> SiteOrbits:
+    """The orbits of the group generated by the reflections j_k -> -j_k and
+    the swaps j_k <-> j_l of reflected axes that keep both the datum and the
+    potential exactly; evolution keeps that symmetry."""
     d = u0.window.d
-    return tuple(k for k in range(d)
-                 if np.array_equal(u0.values, np.flip(u0.values, k))
-                 and np.array_equal(potential.values, np.flip(potential.values, k - d)))
+
+    def keeps(move) -> bool:
+        V = potential.values
+        return (np.array_equal(u0.values, move(u0.values, 0))
+                and np.array_equal(V, move(V, V.ndim - d)))
+
+    folded = tuple(k for k in range(d) if keeps(lambda v, lead: np.flip(v, lead + k)))
+    swapped = tuple((k, l) for k, l in itertools.combinations(folded, 2)
+                    if keeps(lambda v, lead: np.swapaxes(v, lead + k, lead + l)))
+    return SiteOrbits(u0.window, folded, swapped)
 
 
 @dataclass(frozen=True)
@@ -197,8 +225,15 @@ class Trajectory:
     config: EvolutionConfig
     scale_log: float = 0.0  # log of any normalization applied afterwards
     # CN solver: {"refinement_solves": total, "max_relative_residual": max over
-    # solves, "block_steps": most CN steps advanced by one solve}
+    # solves, "block_steps": most CN steps advanced by one solve, the symmetry:
+    # "folded_axes", "swapped_axes", "quotient_sites"}
     solver_stats: dict = field(default_factory=dict)
+    # the symmetry group the values are invariant under; the trivial one if None
+    orbits: SiteOrbits | None = None
+
+    def __post_init__(self):
+        if self.orbits is None:
+            self.orbits = SiteOrbits(self.window)
 
     @property
     def n_stored(self) -> int:
@@ -214,7 +249,8 @@ class Trajectory:
 
     def boundary_mass(self) -> float:
         """The largest boundary_mass_fraction over the stored snapshots."""
-        return float(np.max(boundary_mass_fraction(self.values, self.window)))
+        return max(float(np.max(boundary_mass_fraction(self.values[block], self.orbits)))
+                   for block in snapshot_blocks(self.n_stored, self.orbits))
 
     def norm_drift(self) -> float:
         return float(np.max(np.abs(np.exp(self.norm_logs - self.norm_logs[0]) - 1.0)))
@@ -223,7 +259,7 @@ class Trajectory:
         return Trajectory(self.window, self.times, factor * self.values,
                           self.norm_logs + math.log(abs(factor)),
                           self.config, self.scale_log + math.log(abs(factor)),
-                          self.solver_stats)
+                          self.solver_stats, self.orbits)
 
 
 def _simpson_weights(n_nodes: int, h: float) -> np.ndarray:
@@ -253,20 +289,24 @@ class Stepper:
     With ``steps`` = k > 1 a stepper advances k CN steps at once: ``A`` is
     A^k, factored the same way, and ``step`` solves A^k u' = B^k u.
 
-    With ``folded`` axes (on which the potential must be even) the stepper
-    acts on the reflection quotient: vectors hold the sites j_k >= 0 of each
-    folded axis, flattened in C order, and residual norms weight each site
-    by the number of window sites it stands for, so they are the norms of
-    the full-window system.
+    With ``orbits`` (a SiteOrbits whose group keeps the potential) the
+    stepper acts on the symmetry quotient: vectors hold one value per orbit,
+    at its representative, and residual norms weight each orbit by its size,
+    so they are the norms of the full-window system.
     """
 
     def __init__(self, window: LatticeWindow, potential: Potential, dt: float,
-                 steps: int = 1, folded: tuple = ()):
+                 steps: int = 1, orbits: SiteOrbits | None = None):
         import scipy.sparse as sp
         from scipy.sparse.linalg import splu
 
-        V = potential.values[_quotient(window, folded)]
-        H = laplacian_matrix(window, folded) + sp.diags(V.ravel().astype(complex))
+        orbits = orbits or SiteOrbits(window)
+        lap, V = laplacian_matrix(window), potential.values.ravel()
+        if not orbits.trivial:
+            # R A S = I - i dt/2 (R Delta S + V at the representatives): the
+            # identity and V are diagonal and constant on each orbit
+            lap, V = quotient_matrix(lap, orbits), V[orbits.representatives]
+        H = lap + sp.diags(V.astype(complex))
         eye = sp.identity(H.shape[0], format="csc", dtype=complex)
         A = (eye - 0.5j * dt * H).tocsc()
         self.A, self._B = A, None
@@ -274,14 +314,14 @@ class Stepper:
             B = (2.0 * eye - A).tocsc()
             self.A, self._B = _power(A, steps), _power(B, steps)
         self._lu = splu(self.A, permc_spec="MMD_AT_PLUS_A")
-        self.steps, self.folded = steps, tuple(folded)
-        # per float of a vector's float view: its site's orbit size, twice
-        self._orbit = np.repeat(_orbit_sizes(window, self.folded), 2) if self.folded else None
+        self.steps = steps
+        # per float of a vector's float view: its orbit's size, twice
+        self._weights = None if orbits.trivial else np.repeat(orbits.sizes, 2)
         self.refinement_solves = 0
         self.max_relative_residual = 0.0
 
     def _norm(self, v: np.ndarray) -> float:
-        return math.sqrt(mass_sq(v.view(float), 1, self._orbit))
+        return math.sqrt(mass_sq(v.view(float), 1, self._weights))
 
     def step(self, u: np.ndarray, Au: np.ndarray | None = None) -> tuple:
         """``steps`` CN steps from u, given A u when the caller carries it
@@ -322,9 +362,9 @@ def _power(matrix, k: int):
 def evolve(u0: LatticeField, cfg: EvolutionConfig) -> Trajectory:
     """Integrate to T, storing every store_every-th node (endpoints always).
 
-    The steps run on the reflection quotient of every axis on which the datum
-    and the potential are both even; each stored node is unfolded into the
-    full window."""
+    The steps run on the quotient of the symmetry group that keeps both the
+    datum and the potential (see the module docstring); each stored node is
+    unfolded into the full window."""
     window = cfg.window
     if u0.window != window:
         raise ValueError("datum window != config window")
@@ -338,16 +378,12 @@ def evolve(u0: LatticeField, cfg: EvolutionConfig) -> Trajectory:
     gaps = [int(g) for g in np.diff(nodes)]
     # every block length: whole blocks between stored nodes, then the remainder
     lengths = {min(g, max_block) for g in gaps} | {g % max_block for g in gaps if g % max_block}
-    # d = 1 stays unfolded: see the module docstring
-    folded = _even_axes(u0, cfg.potential) if window.d > 1 else ()
-    steppers = {steps: Stepper(window, cfg.potential, cfg.dt, steps, folded)
+    # d = 1 stays on the trivial group: see the module docstring
+    orbits = _symmetry(u0, cfg.potential) if window.d > 1 else SiteOrbits(window)
+    steppers = {steps: Stepper(window, cfg.potential, cfg.dt, steps, orbits)
                 for steps in lengths}
-    quotient = u0.values[_quotient(window, folded)]
-    # window site -> its quotient site, |j_k| on the folded axes
-    unfold = np.arange(quotient.size).reshape(quotient.shape)[np.ix_(*(
-        np.abs(window.axes) if k in folded else np.arange(2 * window.M + 1)
-        for k in range(window.d)))]
-    u = quotient.ravel().astype(complex)
+    u = orbits.gather(u0.values).astype(complex)
+    weights = None if orbits.trivial else orbits.sizes  # the window's mass from u's
     stepper = steppers.get(1)
     Au = None if stepper is None else stepper.A @ u  # carried by one-step blocks
     for k, gap in enumerate([0] + gaps):
@@ -356,15 +392,17 @@ def evolve(u0: LatticeField, cfg: EvolutionConfig) -> Trajectory:
             previous, stepper = stepper, steppers[steps]
             u, Au = stepper.step(u, Au if stepper is previous else None)
             gap -= steps
-        np.take(u, unfold, out=values[k])
-        norm_logs[k] = 0.5 * math.log(mass_sq(values[k], window.d))
+        np.take(u, orbits.site_orbit, out=values[k])
+        norm_logs[k] = 0.5 * math.log(mass_sq(u, 1, weights))
     solver_stats = {"refinement_solves": sum(s.refinement_solves for s in steppers.values()),
                     "max_relative_residual": max((s.max_relative_residual
                                                   for s in steppers.values()), default=0.0),
                     "block_steps": max(steppers, default=0),
-                    "folded_axes": list(folded)}
+                    "folded_axes": list(orbits.folded),
+                    "swapped_axes": [list(pair) for pair in orbits.swapped],
+                    "quotient_sites": orbits.count}
     return Trajectory(window, nodes * cfg.dt, values, norm_logs, cfg,
-                      solver_stats=solver_stats)
+                      solver_stats=solver_stats, orbits=orbits)
 
 
 def make_decaying_datum(window: LatticeWindow, profile: tuple) -> LatticeField:

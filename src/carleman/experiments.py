@@ -16,7 +16,8 @@ import numpy as np
 from .bessel import bessel_k, weighted_cosh_integral
 from .evolution import Trajectory
 from .fitting import best_model
-from .lattice import boundary_mass_fraction, radial_log_sums, ring_masses, star_log_weight
+from .lattice import (SiteOrbits, boundary_mass_fraction, radial_log_sums, ring_masses,
+                      star_log_weight)
 from .logscalar import NEG_INF, log_abs_sq, log_sinh, logsumexp
 
 
@@ -65,7 +66,7 @@ def lambda_scan(source, cfg: ExperimentConfig) -> dict:
         bmass = source.boundary_mass()
         lams = ring_masses(source, cfg.R_list, time_weights=source.time_weights())
     else:
-        bmass = float(boundary_mass_fraction(source.values, window))
+        bmass = float(boundary_mass_fraction(source.values, SiteOrbits(window)))
         lams = ring_masses(source, cfg.R_list)
 
     d = window.d
@@ -212,13 +213,17 @@ def star_weight_sup_log_rho(traj: Trajectory, mu_grid) -> np.ndarray:
     """Per mu' in mu_grid, the sup over interior stored times of
     log( sum w |u(t)|^2 / sum w (|u(0)|^2 + |u(1)|^2) ), w = e^{2 mu' |j| log(|j|+1)}.
 
-    The weight is radial, so each snapshot is reduced once to its |j|^2 bins.
+    The weight is radial, so each snapshot is reduced once to its |j|^2 bins,
+    reading only the representatives of the trajectory's orbits.
     """
-    window = traj.window
-    r_sq, first = radial_log_sums(window, log_abs_sq(traj.values[0]))
-    _, last = radial_log_sums(window, log_abs_sq(traj.values[-1]))
-    inner = np.array([radial_log_sums(window, log_abs_sq(traj.values[i]))[1]
-                      for i in _interior_indices(traj)])
+    orbits = traj.orbits
+
+    def bins(i):
+        return radial_log_sums(orbits, orbits.log_mass(traj.values[i]))
+
+    r_sq, first = bins(0)
+    last = bins(-1)[1]
+    inner = np.array([bins(i)[1] for i in _interior_indices(traj)])
     r = np.sqrt(r_sq)
     w = star_log_weight(r, 2.0 * np.asarray(mu_grid, dtype=float)[:, None])
     den = logsumexp(w + np.logaddexp(first, last))

@@ -38,9 +38,10 @@ def write_field(path, field_or_values, window: LatticeWindow | None = None,
         values = np.asarray(field_or_values)
         if window is None:
             raise ValueError("window required for raw value arrays")
-    flat = np.ascontiguousarray(values.astype(np.complex128)).astype("<c16")
     header = _MAGIC + struct.pack("<III", _VERSION, window.d, window.M) + struct.pack("<I", n_time)
-    path.write_bytes(header + flat.tobytes())
+    with path.open("wb") as f:
+        f.write(header)
+        f.write(np.ascontiguousarray(values, dtype="<c16"))  # a copy only if not already so
     sidecar = {
         "format": "carleman-field",
         "version": _VERSION,

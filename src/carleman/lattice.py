@@ -1,5 +1,5 @@
-"""Truncated Z^d windows, complex lattice fields, the discrete Laplacian,
-log-domain weighted norms, and ring masses."""
+"""Truncated Z^d windows, their symmetry orbits, complex lattice fields, the
+discrete Laplacian, log-domain weighted norms, and ring masses."""
 
 from __future__ import annotations
 
@@ -65,18 +65,101 @@ class LatticeWindow:
         """Mask of the outer shell max_k |j_k| > M-2."""
         return self.inf_norm > self.M - 2
 
+    def index_of(self, j) -> tuple:
+        return tuple(int(jk) + self.M for jk in np.atleast_1d(j))
+
+
+@dataclass(frozen=True)
+class SiteOrbits:
+    """The window's sites grouped into the orbits of a symmetry group: the
+    group generated by the reflections j_k -> -j_k of the axes in ``folded``
+    and the swaps j_k <-> j_l of the axis pairs in ``swapped`` (both axes of a
+    pair folded).  With neither, each site is its own orbit: the trivial group.
+
+    An orbit's canonical key is |j_k| on the folded axes and j_k on the
+    others, sorted in decreasing order within each class of axes that swaps
+    connect.  Its representative is the site whose coordinates are the key,
+    and orbits are numbered in the C order of their representatives, so with
+    reflections only they are the sites j_k >= 0 of the folded axes in C order.
+    Every orbit-invariant field is known from its values at the
+    representatives, and a sum over the window is the sum over the
+    representatives weighted by the orbit sizes.
+    """
+
+    window: LatticeWindow
+    folded: tuple = ()
+    swapped: tuple = ()
+
+    def __post_init__(self):
+        if not all(k in self.folded and l in self.folded for k, l in self.swapped):
+            raise ValueError("only folded axes can be swapped")
+
+    @cached_property
+    def _layout(self) -> tuple:
+        """(representatives, site_orbit): the flat window index of each
+        orbit's representative, and each site's orbit number."""
+        w = self.window
+        key = np.indices(w.shape) - w.M
+        for k in self.folded:
+            key[k] = np.abs(key[k])
+        classes = [{k} for k in self.folded]
+        for k, l in self.swapped:
+            a, b = (next(c for c in classes if axis in c) for axis in (k, l))
+            if a is not b:
+                a |= b
+                classes.remove(b)
+        for axes in (sorted(c) for c in classes if len(c) > 1):
+            key[axes] = np.sort(key[axes], axis=0)[::-1]
+        flat = np.ravel_multi_index(tuple(key + w.M), w.shape).ravel()
+        representatives, site_orbit = np.unique(flat, return_inverse=True)
+        return representatives, site_orbit.reshape(w.shape)
+
+    @property
+    def representatives(self) -> np.ndarray:
+        return self._layout[0]
+
+    @property
+    def site_orbit(self) -> np.ndarray:
+        """Each window site's orbit number, in the window's shape."""
+        return self._layout[1]
+
+    @property
+    def count(self) -> int:
+        return self.representatives.size
+
+    @property
+    def trivial(self) -> bool:
+        """Whether every orbit is a single site: no axis is folded (and so
+        none is swapped)."""
+        return not self.folded
+
+    @cached_property
+    def sizes(self) -> np.ndarray:
+        """The number of window sites in each orbit, as floats."""
+        return np.bincount(self.site_orbit.ravel(), minlength=self.count).astype(float)
+
     @cached_property
     def radial_bins(self) -> tuple:
-        """Sites grouped by integer |j|^2: (flat site order sorted by |j|^2,
+        """The orbits grouped by integer |j|^2: (orbit order sorted by |j|^2,
         the distinct |j|^2 values, the start of each group in that order, the
         group sizes)."""
-        r_sq = self.radius_sq.ravel()
+        r_sq = self.window.radius_sq.ravel()[self.representatives]
         order = np.argsort(r_sq, kind="stable")
         values, starts, counts = np.unique(r_sq[order], return_index=True, return_counts=True)
         return order, values, starts, counts
 
-    def index_of(self, j) -> tuple:
-        return tuple(int(jk) + self.M for jk in np.atleast_1d(j))
+    def gather(self, values: np.ndarray) -> np.ndarray:
+        """The values at the representatives, one per orbit along the last
+        axis, from values over the trailing d window axes; any axes before
+        those are kept.  For the trivial group this is a view."""
+        d = self.window.d
+        flat = values.reshape(values.shape[:values.ndim - d] + (-1,))
+        return flat if self.trivial else np.take(flat, self.representatives, axis=-1)
+
+    def log_mass(self, values: np.ndarray) -> np.ndarray:
+        """log of each orbit's ell^2 mass, log|u_rep|^2 + log(orbit size), of
+        orbit-invariant values over the trailing d window axes."""
+        return log_abs_sq(self.gather(values)) + np.log(self.sizes)
 
 
 @dataclass(frozen=True)
@@ -170,20 +253,32 @@ def weighted_log_norm(values: np.ndarray, log_weights, d: int,
     return 0.5 * total
 
 
-def radial_log_sums(window: LatticeWindow, log_mass: np.ndarray) -> tuple:
-    """One max-shifted log-sum of log_mass per integer |j|^2 bin.
+def radial_log_sums(orbits: SiteOrbits, log_mass: np.ndarray) -> tuple:
+    """One max-shifted log-sum of log_mass, one entry per orbit, per integer
+    |j|^2 bin.
 
     Returns (r_sq, bin_logs): the distinct |j|^2 values in increasing order and
-    log of the summed e^{log_mass} over the sites of each; -inf for a bin with
+    log of the summed e^{log_mass} over the orbits of each; -inf for a bin with
     no mass.
     """
-    order, r_sq, starts, counts = window.radial_bins
-    x = log_mass.ravel()[order]
+    order, r_sq, starts, counts = orbits.radial_bins
+    x = log_mass[order]
     top = np.maximum.reduceat(x, starts)
     shift = np.where(np.isfinite(top), top, 0.0)
     sums = np.add.reduceat(np.exp(x - np.repeat(shift, counts)), starts)
     with np.errstate(divide="ignore"):
         return r_sq, shift + np.log(sums)
+
+
+_BLOCK_ENTRIES = 1 << 14  # orbit values per block of snapshots
+
+
+def snapshot_blocks(n_snapshots: int, orbits: SiteOrbits) -> list:
+    """Slices of consecutive snapshots that hold about 16 k orbit values
+    (256 kB of complex values) each, at least one snapshot a slice; scans
+    over a trajectory go block by block to keep their temporaries small."""
+    step = max(1, _BLOCK_ENTRIES // orbits.count)
+    return [slice(start, start + step) for start in range(0, n_snapshots, step)]
 
 
 def ring_masses(u, R_list, time_weights: np.ndarray | None = None) -> list:
@@ -192,26 +287,31 @@ def ring_masses(u, R_list, time_weights: np.ndarray | None = None) -> list:
     space-time input.
 
     u: LatticeField (stationary variant), or (Trajectory-like) object exposing
-    window and a values array with leading time axis; time_weights then gives
-    the time integration weights.  Each snapshot is read once: its log-mass is
-    folded into a per-site time integral, which is summed per |j|^2 bin, and
+    window, a values array with leading time axis and, optionally, the
+    SiteOrbits its values are invariant under (the trivial group otherwise);
+    time_weights then gives the time integration weights.  Only the orbit
+    representatives are read.  Each orbit's log-mass is integrated in time by
+    one max-shifted logsumexp per block of snapshots (snapshot_blocks), the
+    blocks joined by logaddexp; the orbits are then summed per |j|^2 bin, and
     each ring is a contiguous range of bins.
     """
     window = u.window
     for R in R_list:
         if R + 1 >= window.M:
             raise RingOutsideWindowError(f"ring R={R} needs R+1 < M={window.M}")
+    orbits = getattr(u, "orbits", None) or SiteOrbits(window)
     if isinstance(u, LatticeField):
-        log_mass = log_abs_sq(u.values)
+        log_mass = orbits.log_mass(u.values)
     else:
         if time_weights is None:
             raise ValueError("space-time ring masses need time integration weights")
         with np.errstate(divide="ignore"):
-            log_tw = np.log(time_weights)
-        log_mass = log_abs_sq(u.values[0]) + log_tw[0]
-        for n in range(1, len(log_tw)):
-            np.logaddexp(log_mass, log_abs_sq(u.values[n]) + log_tw[n], out=log_mass)
-    r_sq, bin_logs = radial_log_sums(window, log_mass)
+            log_tw = np.log(time_weights)[:, None]
+        log_mass = None
+        for block in snapshot_blocks(len(log_tw), orbits):
+            part = logsumexp(orbits.log_mass(u.values[block]) + log_tw[block], axis=0)
+            log_mass = part if log_mass is None else np.logaddexp(log_mass, part)
+    r_sq, bin_logs = radial_log_sums(orbits, log_mass)
     out = []
     for R in R_list:
         lo = np.searchsorted(r_sq, (R - 2) ** 2, side="left")
@@ -246,17 +346,21 @@ def mass_sq(values: np.ndarray, d: int, weights=None):
     return row_sums.sum(axis=tuple(range(1 - d, 0))) if d > 1 else row_sums
 
 
-def boundary_mass_fraction(values: np.ndarray, window: LatticeWindow) -> np.ndarray:
+def boundary_mass_fraction(values: np.ndarray, orbits: SiteOrbits) -> np.ndarray:
     """Mass fraction of a field in the outer shell max_k |j_k| > M-2, 0 for
     a zero field; any axes before the d lattice axes are batch axes, each
-    entry the fraction of its own field.
+    entry the fraction of its own field.  The field must be invariant under
+    the orbits' group: only the representatives are read, each weighted by its
+    orbit size (the shell is a union of orbits).
 
     Reported with every experiment; runs above 1e-12 * ||u||^2 are flagged so
     window-truncation error is visible instead of silent.
     """
-    total = mass_sq(values, window.d)
-    shell = mass_sq(values[..., window.boundary_shell], 1)
-    return np.divide(shell, total, out=np.zeros_like(shell), where=total > 0)
+    q = orbits.gather(values)
+    shell = orbits.window.boundary_shell.ravel()[orbits.representatives]
+    total = mass_sq(q, 1, orbits.sizes)
+    shell_mass = mass_sq(q[..., shell], 1, orbits.sizes[shell])
+    return np.divide(shell_mass, total, out=np.zeros_like(shell_mass), where=total > 0)
 
 
 def star_log_weight(r, rate):

@@ -490,27 +490,42 @@ def conjugation_check(spec: WeightSpec, window: LatticeWindow, trials: int, seed
 # the proof's hiding inequalities
 
 
-def hiding_sides(alpha: float, R: float, d: int, sup_d1: float, sup_d2: float, s) -> dict:
+def hiding_sides(alpha, R: float, d: int, sup_d1: float, sup_d2: float, s) -> dict:
     """Log-domain left/right sides of the two absorption inequalities at
-    |j/R + phi| = s >= 1, for a float s or an array of them (each side comes
-    back in the shape of s).
+    |j/R + phi| = s >= 1.  alpha and s are floats or arrays that broadcast
+    against each other, and each side comes back in their broadcast shape;
+    every entry is what the scalar call would give, bit for bit.
 
     A: sinh(2a/R^2) sinh^2(2as/R) >= (8 a sup_d1 / R) cosh(a/R^2) cosh(2as/R)
     B: sinh(2a/R^2) sinh^2(2as/R) >= 2 a sup_d2 s
     """
+    alpha = np.asarray(alpha, dtype=float)
     s = np.asarray(s, dtype=float)
     x = 2.0 * alpha * s / R
-    none = np.full(s.shape, -math.inf)
+    none = np.full(x.shape, -math.inf)
     sides = {"log_lhs": log_sinh(2.0 * alpha / R**2) + 2.0 * log_sinh(x)}
-    sides["log_rhs_A"] = (math.log(8.0 * alpha * sup_d1 / R) + log_cosh(alpha / R**2)
-                          + log_cosh(x)) if sup_d1 > 0 else none
+    if sup_d1 > 0:
+        # math.log per entry: the scalar rounding, which np.log need not match
+        log_a = np.array([math.log(v) for v in (8.0 * alpha * sup_d1 / R).flat])
+        sides["log_rhs_A"] = log_a.reshape(alpha.shape) + log_cosh(alpha / R**2) + log_cosh(x)
+    else:
+        sides["log_rhs_A"] = none
     sides["log_rhs_B"] = np.log(2.0 * alpha * sup_d2 * s) if sup_d2 > 0 else none
     return {key: side[()] for key, side in sides.items()}
 
 
+_HIDING_LEVELS = 5  # bisection steps decided per hiding_sides call
+
+
 def minimal_hiding_constant(d: int, R: float, phi: TimeProfile, s_grid,
                             c_lo: float = 1e-3, c_hi: float = 64.0) -> dict:
-    """Smallest c such that both inequalities hold on the grid at alpha = c R log R."""
+    """Smallest c such that both inequalities hold on the grid at alpha = c R log R.
+
+    80 bisection steps, decided _HIDING_LEVELS at a time: one hiding_sides
+    call evaluates every midpoint those steps can reach, each computed as the
+    step-by-step loop would compute it, and the outcomes are then walked from
+    the root, so the result is that loop's bit for bit.  The steps stop early
+    once the bracket is two adjacent floats."""
     s_grid = np.asarray(s_grid, dtype=float)
     if s_grid.size == 0 or np.any(s_grid < 1.0):
         raise ValueError("grid values must be >= 1, and there must be at least one")
@@ -519,24 +534,39 @@ def minimal_hiding_constant(d: int, R: float, phi: TimeProfile, s_grid,
     # margins grow with s, so the grid's smallest point decides.
     s_min = float(np.min(s_grid))
 
-    def holds(c: float) -> bool:
+    def holds(c: np.ndarray) -> np.ndarray:
         alpha = c * R * math.log(R)
         sides = hiding_sides(alpha, R, d, phi.sup_d1, phi.sup_d2, s_min)
-        return not sides["log_lhs"] < max(sides["log_rhs_A"], sides["log_rhs_B"])
+        return ~(sides["log_lhs"] < np.maximum(sides["log_rhs_A"], sides["log_rhs_B"]))
 
     if phi.sup_d1 == 0.0 and phi.sup_d2 == 0.0:
         return {"min_c": 0.0, "vacuous": True}
-    if not holds(c_hi):
-        return {"min_c": math.inf, "vacuous": False}
     lo, hi = c_lo, c_hi
-    if holds(lo):
+    top, bottom = holds(np.array([hi, lo]))
+    if not top:
+        return {"min_c": math.inf, "vacuous": False}
+    if bottom:
         return {"min_c": lo, "vacuous": False}
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if holds(mid):
-            hi = mid
-        else:
-            lo = mid
+    steps = 80
+    # once no float lies strictly between lo and hi, every midpoint is lo
+    # (which fails) or hi (which holds), so the remaining steps change nothing
+    while steps and lo < 0.5 * (lo + hi) < hi:
+        levels = min(steps, _HIDING_LEVELS)
+        # level l holds the 2^l midpoints after l steps; a node's children are
+        # its left half (the midpoint held, hi = mid) and its right half
+        brackets, mids = [(lo, hi)], []
+        for _ in range(levels):
+            level = [0.5 * (a + b) for a, b in brackets]
+            mids.append(level)
+            brackets = [half for (a, b), m in zip(brackets, level) for half in ((a, m), (m, b))]
+        ok = holds(np.array([m for level in mids for m in level]))
+        node = 0
+        for depth, level in enumerate(mids):
+            if ok[2**depth - 1 + node]:
+                hi, node = level[node], 2 * node
+            else:
+                lo, node = level[node], 2 * node + 1
+        steps -= levels
     return {"min_c": hi, "vacuous": False}
 
 

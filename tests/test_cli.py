@@ -104,8 +104,12 @@ def test_evolve_manifest_records_solver_stats_and_boundary_flag(flags, flagged, 
     assert run_evolve(tmp_path, *flags) == 0
     stats = json.loads((tmp_path / "manifest_evolve_0_pinned.json").read_text())["stats"]
     assert sorted(stats) == ["block_steps", "boundary_mass", "boundary_mass_flag", "folded_axes",
-                             "max_relative_residual", "norm_drift", "refinement_solves"]
-    assert stats["folded_axes"] == ([0, 1] if flags[1] == "2" else [])  # the fold is for d >= 2
+                             "max_relative_residual", "norm_drift", "quotient_sites",
+                             "refinement_solves", "swapped_axes"]
+    d2 = flags[1] == "2"  # the quotient is for d >= 2: 0 <= j_2 <= j_1 <= 10 there
+    assert stats["folded_axes"] == ([0, 1] if d2 else [])
+    assert stats["swapped_axes"] == ([[0, 1]] if d2 else [])
+    assert stats["quotient_sites"] == (66 if d2 else 69)
     assert stats["refinement_solves"] == 0
     assert 0.0 < stats["max_relative_residual"] <= 1e-12
     assert stats["norm_drift"] < 1e-10
@@ -123,9 +127,12 @@ def test_evolving_subcommands_record_solver_stats(subcommand, flags, block_steps
                                                   capsys):
     stats = manifest_of(subcommand, tmp_path, *flags)["stats"]
     assert sorted(stats) == ["block_steps", "boundary_mass", "boundary_mass_flag", "folded_axes",
-                             "max_relative_residual", "norm_drift", "refinement_solves"]
+                             "max_relative_residual", "norm_drift", "quotient_sites",
+                             "refinement_solves", "swapped_axes"]
     assert stats["block_steps"] == block_steps
-    assert stats["folded_axes"] == ([0, 1] if "--d" in flags else [])  # the fold is for d >= 2
+    d2 = "--d" in flags  # the quotient is for d >= 2
+    assert stats["folded_axes"] == ([0, 1] if d2 else [])
+    assert stats["swapped_axes"] == ([[0, 1]] if d2 else [])
     assert stats["refinement_solves"] == 0
     assert 0.0 < stats["max_relative_residual"] <= 1e-12
     assert stats["norm_drift"] < 1e-10

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -10,11 +11,11 @@ import pytest
 import carleman
 from carleman.bessel import bessel_j
 from carleman.errors import SolverDivergenceError, ZeroObservationError
-from carleman.evolution import (EvolutionConfig, Stepper, _orbit_sizes, _quotient, evolve,
-                                laplacian_matrix, make_decaying_datum,
-                                normalize_observation, observation_integral)
-from carleman.lattice import (LatticeField, LatticeWindow, Potential, boundary_mass_fraction,
-                              mass_sq)
+from carleman.evolution import (EvolutionConfig, Stepper, evolve, laplacian_matrix,
+                                make_decaying_datum, normalize_observation, observation_integral,
+                                quotient_matrix)
+from carleman.lattice import (LatticeField, LatticeWindow, Potential, SiteOrbits,
+                              boundary_mass_fraction, mass_sq)
 
 
 def dense_cn_oracle(u0, cfg):
@@ -252,15 +253,18 @@ def test_off_centre_delta_folds_one_axis_and_matches_dense_oracle():
 
 
 def test_bessel_like_d2_matches_dense_oracle():
-    # measured max |d log|u|| against this oracle at these nodes: 4.5e-11
-    # folded and 7.0e-11 for the unfolded stepper, in the corner where |u| is
-    # near 2e-28; at M = 24 both reach 9e-8 at |u| near 2e-47
+    # measured max |d log|u|| against this oracle at these nodes: 1.7e-10 on
+    # the swap quotient, 4.5e-11 reflection-only and 7.0e-11 unfolded, in the
+    # corner where |u| is near 1e-27; at M = 24 all three reach 8.0e-8 to
+    # 9.5e-8 in the corner (|u| from 3e-49 to 2e-47), where the oracle itself
+    # is accurate only relative to the norm
     window = LatticeWindow(2, 16)
     cfg = EvolutionConfig(dt=1e-2, T=1.0, window=window, potential=Potential.alternating(window),
                           store_every=10)
     u0 = make_decaying_datum(window, ("bessel_like", 1.0))
     traj = evolve(u0, cfg)
     assert traj.solver_stats["folded_axes"] == [0, 1]
+    assert traj.solver_stats["swapped_axes"] == [[0, 1]]
     oracle = dense_cn_oracle(u0, cfg)
     assert np.min(np.abs(oracle[oracle != 0])) < 1e-30
     assert max_log_deviation(traj.values, oracle) <= 1e-9
@@ -335,23 +339,24 @@ def test_d1_blocks_match_dense_solve_oracle():
     assert max_log_deviation(traj.values, oracle) <= 1e-10
 
 
-def per_step_loop(u0, cfg, folded):
+def per_step_loop(u0, cfg, orbits):
     """evolve's stored nodes from a plain loop of one-step solves on the
-    quotient of the folded axes, unfolded by |j_k|."""
-    window = cfg.window
-    stepper = Stepper(window, cfg.potential, cfg.dt, folded=folded)
-    keep = tuple(slice(window.M, None) if k in folded else slice(None) for k in range(window.d))
-    quotient = u0.values[keep]
-    u = quotient.ravel().astype(complex)
+    quotient of the orbits, unfolded through the orbit map."""
+    stepper = Stepper(cfg.window, cfg.potential, cfg.dt, orbits=orbits)
+    u = orbits.gather(u0.values).astype(complex)
     Au = stepper.A @ u
     nodes = [u]
     for step in range(1, cfg.n_steps + 1):
         u, Au = stepper.step(u, Au)
         if step % cfg.store_every == 0 or step == cfg.n_steps:
             nodes.append(u)
-    index = np.ix_(*(np.abs(window.axes) if k in folded else np.arange(2 * window.M + 1)
-                     for k in range(window.d)))
-    return np.array([q.reshape(quotient.shape)[index] for q in nodes])
+    return np.array([np.take(q, orbits.site_orbit) for q in nodes])
+
+
+def full_group(window):
+    """Every reflection and every axis swap of the window."""
+    axes = tuple(range(window.d))
+    return SiteOrbits(window, axes, tuple(itertools.combinations(axes, 2)))
 
 
 def test_d2_evolve_is_the_per_step_loop_bit_for_bit():
@@ -361,7 +366,11 @@ def test_d2_evolve_is_the_per_step_loop_bit_for_bit():
     traj = evolve(LatticeField.delta(window), cfg)
     assert traj.solver_stats["block_steps"] == 1
     assert traj.solver_stats["folded_axes"] == [0, 1]
-    assert np.array_equal(traj.values, per_step_loop(LatticeField.delta(window), cfg, (0, 1)))
+    assert traj.solver_stats["swapped_axes"] == [[0, 1]]
+    assert traj.solver_stats["quotient_sites"] == 45  # 0 <= j_2 <= j_1 <= 8
+    assert traj.orbits == full_group(window)
+    assert np.array_equal(traj.values, per_step_loop(LatticeField.delta(window), cfg,
+                                                     full_group(window)))
 
 
 @pytest.mark.parametrize("case, folded", [("random_datum", ()), ("ramp_potential", (1,))])
@@ -381,46 +390,124 @@ def test_uneven_axes_stay_unfolded(case, folded):
     cfg = EvolutionConfig(dt=1e-2, T=0.2, window=window, potential=potential, store_every=3)
     traj = evolve(u0, cfg)
     assert traj.solver_stats["folded_axes"] == list(folded)
-    assert np.array_equal(traj.values, per_step_loop(u0, cfg, folded))
+    assert traj.solver_stats["swapped_axes"] == []
+    assert np.array_equal(traj.values, per_step_loop(u0, cfg, SiteOrbits(window, folded)))
+
+
+def test_anisotropic_datum_stays_on_the_reflection_quotient():
+    # e^{-(j_1^2 + 2 j_2^2)} is even on both axes but not symmetric under the
+    # swap, so only the reflections fold, bit for bit the reflection-only loop
+    window = LatticeWindow(2, 10)
+    u0 = LatticeField.from_values(window, np.exp(-(window.coordinate(0) ** 2
+                                                   + 2.0 * window.coordinate(1) ** 2)))
+    cfg = EvolutionConfig(dt=1e-2, T=0.2, window=window, potential=Potential.alternating(window),
+                          store_every=4)
+    traj = evolve(u0, cfg)
+    assert traj.solver_stats["folded_axes"] == [0, 1]
+    assert traj.solver_stats["swapped_axes"] == []
+    assert traj.solver_stats["quotient_sites"] == 11 * 11
+    assert np.array_equal(traj.values, per_step_loop(u0, cfg, SiteOrbits(window, (0, 1))))
+
+
+# Measured max |d log|u|| of the swap quotient (alternating V, dt = 1e-2,
+# T = 1, every 10th step): against the reflection-only loop 2.7e-14 (delta)
+# and 1.6e-10 (bessel_like, at |u| = 9.5e-28) at d = 2, M = 16, 1.5e-13 and
+# 3.0e-13 at d = 3, M = 6; against the unfolded loop 2.2e-14, 1.5e-10, 2.2e-13
+# and 8.9e-13.  The bessel_like corner at d = 2 is where float CN itself
+# loses digits (see the evolution module docstring); the bounds leave a
+# margin of about 3.
+SWAP_QUOTIENT_BOUNDS = {(2, "delta"): 1e-13, (2, "bessel_like"): 5e-10,
+                        (3, "delta"): 1e-12, (3, "bessel_like"): 3e-12}
+
+
+@pytest.mark.parametrize("d, M", [(2, 16), (3, 6)])
+@pytest.mark.parametrize("datum", [("delta",), ("bessel_like", 1.0)])
+def test_swap_quotient_matches_reflection_and_unfolded_loops(d, M, datum):
+    window = LatticeWindow(d, M)
+    cfg = EvolutionConfig(dt=1e-2, T=1.0, window=window, potential=Potential.alternating(window),
+                          store_every=10)
+    u0 = make_decaying_datum(window, datum)
+    traj = evolve(u0, cfg)
+    assert traj.orbits == full_group(window)
+    assert traj.solver_stats["quotient_sites"] == math.comb(M + d, d)
+    bound = SWAP_QUOTIENT_BOUNDS[(d, datum[0])]
+    for orbits in (SiteOrbits(window, tuple(range(d))), SiteOrbits(window)):
+        assert max_log_deviation(traj.values, per_step_loop(u0, cfg, orbits)) <= bound
+
+
+def symmetrized(vals, orbits):
+    """vals summed over the group of the orbits: each reflection, then every
+    permutation of the swapped axes (one class of them in each group here)."""
+    for k in orbits.folded:
+        vals = vals + np.flip(vals, k)
+    swapped_axes = sorted({k for pair in orbits.swapped for k in pair})
+    if swapped_axes:
+        perms = []
+        for perm in itertools.permutations(swapped_axes):
+            order = list(range(vals.ndim))
+            for src, dst in zip(swapped_axes, perm):
+                order[src] = dst
+            perms.append(order)
+        vals = sum(np.transpose(vals, order) for order in perms)
+    return vals
+
+
+GROUPS = [(1, 6, (0,), ()), (2, 5, (1,), ()), (2, 5, (0, 1), ()), (2, 5, (0, 1), ((0, 1),)),
+          (3, 3, (0, 2), ()), (3, 3, (0, 1, 2), ((0, 2),)),
+          (3, 3, (0, 1, 2), ((0, 1), (1, 2)))]
 
 
 def test_folded_laplacian_is_the_window_laplacian_on_even_fields():
-    # the quotient matrix applied to the sites j_k >= 0 of a field even in the
-    # folded axes gives the window Laplacian there, up to summation order
+    # the quotient matrix applied to the representatives of a field invariant
+    # under the group gives the window Laplacian there, up to summation order
     rng = np.random.default_rng(4)
-    for d, M, folded in ((1, 6, (0,)), (2, 5, (1,)), (2, 5, (0, 1)), (3, 3, (0, 2))):
+    for d, M, folded, swapped in GROUPS:
         window = LatticeWindow(d, M)
+        orbits = SiteOrbits(window, folded, swapped)
         vals = rng.standard_normal(window.shape) + 1j * rng.standard_normal(window.shape)
-        for k in folded:
-            vals = vals + np.flip(vals, k)
-        keep = tuple(slice(M, None) if k in folded else slice(None) for k in range(d))
-        full = (laplacian_matrix(window) @ vals.ravel()).reshape(window.shape)[keep]
-        quotient = laplacian_matrix(window, folded) @ vals[keep].ravel()
-        assert np.max(np.abs(quotient - full.ravel())) < 1e-13
+        vals = symmetrized(vals, orbits)
+        # the field is constant on every orbit, up to the summation order of
+        # the symmetrization: the orbits are the group's
+        assert np.max(np.abs(np.take(orbits.gather(vals), orbits.site_orbit) - vals)) < 1e-13
+        assert orbits.sizes.sum() == window.site_count
+        full = orbits.gather((laplacian_matrix(window) @ vals.ravel()).reshape(window.shape))
+        quotient = quotient_matrix(laplacian_matrix(window), orbits) @ orbits.gather(vals)
+        assert np.max(np.abs(quotient - full)) < 1e-13
+
+
+def test_quotient_laplacian_entries_are_neighbour_counts():
+    # R L S counts, per representative, its neighbours in each orbit: at d = 2
+    # under the full group the origin sees its 4 neighbours in one orbit
+    window = LatticeWindow(2, 4)
+    orbits = full_group(window)
+    lap = quotient_matrix(laplacian_matrix(window), orbits).toarray()
+    assert set(np.unique(lap)) <= {-4.0, 0.0, 1.0, 2.0, 4.0}
+    assert lap[0, 0] == -4.0 and lap[0, orbits.site_orbit[5, 4]] == 4.0
+    assert np.array_equal(lap.sum(axis=1)[:3], [0.0, 0.0, 0.0])
 
 
 def test_folded_residual_norm_is_the_window_norm():
-    # each quotient site stands for 1, 2 or 4 window sites, so the residual
+    # each quotient site stands for 1, 4 or 8 window sites, so the residual
     # contract bounds the residual of the full-window system
     window = LatticeWindow(2, 6)
-    stepper = Stepper(window, Potential.zero(window), 1e-2, folded=(0, 1))
+    orbits = full_group(window)
+    stepper = Stepper(window, Potential.zero(window), 1e-2, orbits=orbits)
     rng = np.random.default_rng(5)
     vals = rng.standard_normal(window.shape) + 1j * rng.standard_normal(window.shape)
-    vals = vals + np.flip(vals, 0)
-    vals = vals + np.flip(vals, 1)
-    assert stepper._norm(vals[6:, 6:].ravel()) == pytest.approx(np.linalg.norm(vals), rel=1e-14)
+    vals = symmetrized(vals, orbits)
+    assert stepper._norm(orbits.gather(vals)) == pytest.approx(np.linalg.norm(vals), rel=1e-14)
 
 
 @pytest.mark.parametrize("d, folded", [(2, (0, 1)), (2, (1,)), (3, (0, 1, 2))])
 def test_orbit_weighted_quotient_mass_is_the_window_mass(d, folded):
+    # every pair of folded axes is swapped too
     window = LatticeWindow(d, 7)
+    orbits = SiteOrbits(window, folded, tuple(itertools.combinations(folded, 2)))
     rng = np.random.default_rng(len(folded) * 10 + d)
-    vals = rng.standard_normal(window.shape) + 1j * rng.standard_normal(window.shape)
-    for k in folded:
-        vals = vals + np.flip(vals, k)
-    quotient = vals[_quotient(window, folded)].ravel()
+    vals = symmetrized(rng.standard_normal(window.shape) + 1j * rng.standard_normal(window.shape),
+                       orbits)
     full = mass_sq(vals, d)
-    assert abs(mass_sq(quotient, 1, _orbit_sizes(window, folded)) - full) <= (
+    assert abs(mass_sq(orbits.gather(vals), 1, orbits.sizes) - full) <= (
         10 * np.finfo(float).eps * full)
 
 
@@ -428,7 +515,7 @@ def test_trajectory_boundary_mass_is_the_per_snapshot_maximum():
     window, cfg = free_config(M=10, dt=1e-2, d=2)
     traj = evolve(LatticeField.delta(window), cfg)
     traj.values[0] = 0.0  # a zero snapshot counts as no boundary mass
-    per_snapshot = max(boundary_mass_fraction(v, window) for v in traj.values)
+    per_snapshot = max(boundary_mass_fraction(v, SiteOrbits(window)) for v in traj.values)
     assert per_snapshot > 1e-12
     assert traj.boundary_mass() == pytest.approx(per_snapshot, rel=1e-13)
 
@@ -461,13 +548,17 @@ def test_block_refinement_solves_counted_then_bounded():
 # The benchmark's d = 2 chain: its lattice sums must not wake a BLAS thread
 # pool, whose woken thread busy-waits between calls and doubles the CPU time.
 # scipy is imported before the clock starts: loading its own BLAS is a
-# once-per-process cost that this does not guard.
+# once-per-process cost that this does not guard.  Loading numpy's and
+# scipy's BLAS starts their worker threads busy-waiting for 50-100 ms, so the
+# clock starts after they have gone idle; a chain of about 0.2 s would
+# otherwise read up to 1.35 from that load alone.
 _CPU_PROBE = """
 import time
 import scipy.sparse.linalg
 from carleman import experiments as xp
 from carleman.evolution import EvolutionConfig, evolve, make_decaying_datum, normalize_observation
 from carleman.lattice import LatticeWindow, Potential
+time.sleep(0.5)
 wall, cpu = time.perf_counter(), time.process_time()
 window = LatticeWindow(2, 64)
 cfg = EvolutionConfig(dt=1e-2, T=1.0, window=window, potential=Potential.alternating(window))

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from carleman.errors import RingOutsideWindowError
-from carleman.lattice import (LatticeField, LatticeWindow, Potential,
+from carleman.lattice import (LatticeField, LatticeWindow, Potential, SiteOrbits,
                               boundary_mass_fraction, discrete_laplacian, mass_sq,
                               ring_masses, weighted_log_norm)
 from carleman.logscalar import NEG_INF
@@ -137,13 +137,17 @@ def test_ring_mass_window_doubling_invariance():
 
 def test_boundary_mass_diagnostic():
     w = LatticeWindow(1, 6)
+    trivial = SiteOrbits(w)
     inner = LatticeField.delta(w)
-    assert boundary_mass_fraction(inner.values, w) == 0.0
+    assert boundary_mass_fraction(inner.values, trivial) == 0.0
     edge = LatticeField.delta(w, [w.M])
-    assert boundary_mass_fraction(edge.values, w) == 1.0
+    assert boundary_mass_fraction(edge.values, trivial) == 1.0
     # the shell is the two outer rings max_k |j_k| in {M-1, M}
-    assert boundary_mass_fraction(LatticeField.delta(w, [w.M - 2]).values, w) == 0.0
-    assert boundary_mass_fraction(LatticeField.delta(w, [1 - w.M]).values, w) == 1.0
+    assert boundary_mass_fraction(LatticeField.delta(w, [w.M - 2]).values, trivial) == 0.0
+    assert boundary_mass_fraction(LatticeField.delta(w, [1 - w.M]).values, trivial) == 1.0
+    # on the reflection quotient the orbit {M, -M} holds both shell sites
+    even = LatticeField.delta(w, [w.M]).values + LatticeField.delta(w, [-w.M]).values
+    assert boundary_mass_fraction(even + inner.values, SiteOrbits(w, (0,))) == 2.0 / 3.0
 
 
 @pytest.mark.parametrize("d, M", [(1, 40), (1, 128), (2, 12), (2, 64)])

@@ -306,6 +306,17 @@ def test_hiding_sides_on_an_array_match_scalar_calls():
     assert isinstance(one["log_lhs"], float)
 
 
+def test_hiding_sides_on_an_alpha_array_match_scalar_calls():
+    # the bisection evaluates a tree of midpoints c, so alpha comes as an array
+    phi = TimeProfile.paper()
+    alphas = np.linspace(0.5, 400.0, 63)
+    sides = hiding_sides(alphas, 10.0, 2, phi.sup_d1, phi.sup_d2, 1.25)
+    for i, alpha in enumerate(alphas):
+        one = hiding_sides(float(alpha), 10.0, 2, phi.sup_d1, phi.sup_d2, 1.25)
+        for key, value in one.items():
+            assert sides[key][i] == value
+
+
 def test_empty_hiding_grid_rejected():
     with pytest.raises(ValueError):
         minimal_hiding_constant(1, 10.0, TimeProfile.paper(), [])

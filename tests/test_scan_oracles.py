@@ -1,7 +1,10 @@
 """The one-pass ring-mass, log-convexity and weighted-threshold scans against
 the direct per-R / per-beta / per-mu' loops they replace, kept here as
-oracles: every value must agree within 1e-12 in log."""
+oracles: every value must agree within 1e-12 in log.  The scans that read
+only orbit representatives are also held to the full-window scans they
+replace (per-snapshot logaddexp over every site), within 1e-14 relative."""
 
+import itertools
 import math
 from types import SimpleNamespace
 
@@ -11,7 +14,7 @@ import pytest
 from carleman.evolution import Trajectory
 from carleman.experiments import (ExperimentConfig, _interior_indices, log_convexity_check,
                                   star_weight_sup_log_rho)
-from carleman.lattice import LatticeField, LatticeWindow, ring_masses
+from carleman.lattice import LatticeField, LatticeWindow, SiteOrbits, ring_masses
 from carleman.logscalar import NEG_INF, log_abs_sq, logsumexp
 
 LOG_TOL = 1e-12
@@ -192,3 +195,123 @@ def test_star_weight_sweep_matches_per_mu_loop(d, M, mu):
     for g, w in zip(got, want):
         assert math.isfinite(w)
         assert_log_close(float(g), float(w))
+
+
+# --- orbit representatives against the full-window scans ---------------------
+
+REL_TOL = 1e-14
+
+
+def full_window_radial_log_sums(window, log_mass):
+    """One max-shifted log-sum of a per-site log_mass per integer |j|^2 bin,
+    over every site of the window."""
+    r_sq = window.radius_sq.ravel()
+    order = np.argsort(r_sq, kind="stable")
+    values, starts, counts = np.unique(r_sq[order], return_index=True, return_counts=True)
+    x = log_mass.ravel()[order]
+    top = np.maximum.reduceat(x, starts)
+    shift = np.where(np.isfinite(top), top, 0.0)
+    sums = np.add.reduceat(np.exp(x - np.repeat(shift, counts)), starts)
+    with np.errstate(divide="ignore"):
+        return values, shift + np.log(sums)
+
+
+def full_window_ring_masses(u, R_list, time_weights):
+    """The ring scan that reads every site of every snapshot, joining the
+    snapshots by one np.logaddexp pass each."""
+    with np.errstate(divide="ignore"):
+        log_tw = np.log(time_weights)
+    log_mass = log_abs_sq(u.values[0]) + log_tw[0]
+    for n in range(1, len(log_tw)):
+        np.logaddexp(log_mass, log_abs_sq(u.values[n]) + log_tw[n], out=log_mass)
+    r_sq, bin_logs = full_window_radial_log_sums(u.window, log_mass)
+    out = []
+    for R in R_list:
+        lo = np.searchsorted(r_sq, (R - 2) ** 2, side="left")
+        hi = np.searchsorted(r_sq, (R + 1) ** 2, side="right")
+        out.append(0.5 * float(logsumexp(bin_logs[lo:hi])) if hi > lo else NEG_INF)
+    return out
+
+
+def full_window_boundary_mass(traj):
+    window = traj.window
+    mass = np.abs(traj.values) ** 2
+    total = mass.reshape(len(mass), -1).sum(axis=1)
+    shell = mass[:, window.boundary_shell].sum(axis=1)
+    return float(np.max(shell / total))
+
+
+def full_window_star_sup_log_rho(traj, mu_grid):
+    window = traj.window
+
+    def bins(i):
+        return full_window_radial_log_sums(window, log_abs_sq(traj.values[i]))
+
+    r_sq, first = bins(0)
+    last = bins(-1)[1]
+    inner = np.array([bins(i)[1] for i in _interior_indices(traj)])
+    w = 2.0 * np.asarray(mu_grid)[:, None] * np.sqrt(r_sq) * np.log(np.sqrt(r_sq) + 1.0)
+    den = logsumexp(w + np.logaddexp(first, last))
+    return np.max(logsumexp(w[:, None, :] + inner) - den[:, None], axis=1)
+
+
+def invariant_trajectory(window, rng, full_group, n_time=21):
+    """A trajectory whose snapshots are exactly invariant under every
+    reflection and axis swap (values drawn per sorted |j|) when full_group,
+    and random otherwise; with the SiteOrbits it is invariant under."""
+    axes = tuple(range(window.d))
+    if not full_group:
+        orbits = SiteOrbits(window)
+        values = random_values(window, rng, n_time)
+    else:
+        orbits = SiteOrbits(window, axes, tuple(itertools.combinations(axes, 2)))
+        key = np.sort(np.abs(np.indices(window.shape) - window.M), axis=0)
+        table = random_values(LatticeWindow(window.d, window.M), rng, n_time)
+        values = table[(slice(None),) + tuple(key + window.M)]
+    # magnitudes down to e^-185 and a snapshot with one zero orbit
+    values[(3,) + (window.M,) * window.d] = 0.0
+    return Trajectory(window, np.linspace(0.0, 1.0, n_time), values, np.zeros(n_time),
+                      config=None, orbits=orbits)
+
+
+def assert_rel_close(got, want):
+    if want == NEG_INF:
+        assert got == NEG_INF
+    else:
+        assert abs(got - want) <= REL_TOL * abs(want), (got, want)
+
+
+ORBIT_CASES = [(d, M, full) for d, M in ((1, 40), (2, 14), (3, 7)) for full in (False, True)]
+
+
+@pytest.mark.parametrize("d, M, full_group", ORBIT_CASES)
+def test_orbit_ring_masses_match_full_window_logaddexp_scan(d, M, full_group):
+    rng = np.random.default_rng(50 + 2 * d + full_group)
+    traj = invariant_trajectory(LatticeWindow(d, M), rng, full_group)
+    R_list = tuple(float(R) for R in range(3, M - 1))
+    got = ring_masses(traj, R_list, time_weights=traj.time_weights())
+    want = full_window_ring_masses(traj, R_list, traj.time_weights())
+    for g, w in zip(got, want):
+        assert_rel_close(g, w)
+
+
+@pytest.mark.parametrize("d, M, full_group", ORBIT_CASES)
+def test_orbit_boundary_mass_matches_full_window_sum(d, M, full_group):
+    rng = np.random.default_rng(60 + 2 * d + full_group)
+    traj = invariant_trajectory(LatticeWindow(d, M), rng, full_group)
+    # mass at the origin and at the corners, in the shell, so that the
+    # fraction is well inside (0, 1)
+    traj.values[(slice(None),) + (M,) * d] = 2.0 ** d
+    traj.values[(slice(None),) + np.ix_(*[[0, -1]] * d)] = 1.0
+    assert_rel_close(traj.boundary_mass(), full_window_boundary_mass(traj))
+
+
+@pytest.mark.parametrize("d, M, full_group", ORBIT_CASES)
+def test_orbit_star_weight_sweep_matches_full_window_sweep(d, M, full_group):
+    rng = np.random.default_rng(70 + 2 * d + full_group)
+    traj = invariant_trajectory(LatticeWindow(d, M), rng, full_group)
+    mu_grid = np.linspace(3.0 / 16.0, 3.0, 16)
+    got = star_weight_sup_log_rho(traj, mu_grid)
+    want = full_window_star_sup_log_rho(traj, mu_grid)
+    for g, w in zip(got, want):
+        assert_rel_close(float(g), float(w))
