@@ -86,11 +86,13 @@ def _choice(*names):
     return cast
 
 
-def _positive(value) -> float:
-    x = float(value)
-    if not x > 0:
-        raise ValueError(value)
-    return x
+def _positive(kind):
+    def cast(value):
+        x = kind(value)
+        if not x > 0:
+            raise ValueError(value)
+        return x
+    return cast
 
 
 class _Derived:
@@ -414,15 +416,15 @@ _SUBCOMMANDS = {
          "M": (_Derived("int(2R)+2", lambda p: int(2 * p["R"]) + 2), int,
                "window half-width"),
          "alpha": (_Derived("c R log R", lambda p: p["c"] * p["R"] * math.log(p["R"])),
-                   _positive, "weight strength, > 0"),
-         "trials": (500, int, "trials per batch"),
+                   _positive(float), "weight strength, > 0"),
+         "trials": (500, _positive(int), "trials per batch, >= 1"),
          "phi": ("zero", _PHI, "time profile")}, {}, _run_carleman_check),
     "commutator-check": (
         "operator identities: symmetry/skewness, commutator closed form, conjugation oracle",
         {**_RUN, "d": _D, "R": (10.0, float, "weight radius"),
          "c": (2.0, float, "constant in the alpha = c R log R rule"),
          "M": (_Derived("int(R)+4", lambda p: int(p["R"]) + 4), int, "window half-width"),
-         "trials": (50, int, "trials per check"),
+         "trials": (50, _positive(int), "trials per check, >= 1"),
          "phi": ("paper", _PHI, "time profile")},
         {"symmetry": 1e-9, "commutator": 1e-8, "conjugation": 1e-9}, _run_commutator_check),
     "hiding-scan": (

@@ -52,19 +52,27 @@ on which both are exactly symmetric, and steps on its quotient
 (lattice.SiteOrbits): one unknown per orbit, held at its representative,
 whose coordinates are |j_k|, sorted in decreasing order within each class of
 swapped axes.  The quotient matrix is A_q = R A S, where R picks the
-representatives' rows and S sums each orbit's columns.  A site's neighbour is
-never in the site's own orbit (sum_k |j_k| is constant on an orbit and
-changes by 1 between neighbours), so every entry of A_q is a diagonal entry
-of A or an integer multiple of an off-diagonal one, exact in floating point:
-A_q is the full system restricted to orbit-invariant fields, factored the
-same way.  Each stored node is unfolded by np.take through the orbit map, and
-the residual contract weights each unknown by its orbit size, so it bounds the
+representatives' rows and S sums each orbit's columns; its Laplacian part is
+assembled from each representative's in-window neighbours (quotient_laplacian),
+never from the window's matrix.  A site's neighbour is never in the site's own
+orbit (sum_k |j_k| is constant on an orbit and changes by 1 between
+neighbours), so every entry of A_q is a diagonal entry of A or an integer
+multiple of an off-diagonal one, exact in floating point: A_q is the full
+system restricted to orbit-invariant fields, factored the same way.  The
+residual contract weights each unknown by its orbit size, so it bounds the
 full-window residual.  With reflections only, the unknowns are the sites
 j_k >= 0 of the folded axes in C order and A_q is entry for entry the folded
 1-d second differences' kron sum, so the steps are bit for bit those of a
 reflection-only fold.  An axis on which the datum or the potential is not
 even is neither folded nor swapped; with no symmetry at all the steps are the
 unfolded ones above, bit for bit.
+
+A Trajectory keeps the quotient's values, one per orbit (3.5 MB for 101
+nodes at d = 2, M = 64, against 27 MB unfolded), and the scans read them as
+they are.  They are unfolded through the orbit map only where a full-window
+array leaves the program: the trajectory files, one snapshot at a time, the
+log-convexity sweep, whose e^{2 beta.j} weights no symmetry keeps, and
+Trajectory.values.
 
 What the quotient saves (alternating V, dt = 1e-2, bessel_like datum; medians
 on 2 vCPUs):
@@ -78,9 +86,7 @@ on 2 vCPUs):
     d = 3, M = 24   reflections, swaps      2925      234 k    34 ms     1.33 ms
 
 A step is one solve and one matvec; at d = 2, M = 64 the solve takes 0.35 ms
-instead of 0.82 ms and the matvec 0.046 ms instead of 0.085 ms.  The
-reflection fold alone had taken 1000 steps at d = 2, M = 64 (dt = 1e-3) from
-6.7 s to 1.06 s, with 4225 unknowns instead of 16641.
+instead of 0.82 ms and the matvec 0.046 ms instead of 0.085 ms.
 
 The quotient keeps the sitewise accuracy that FFT or DST solvers lose: those
 mix every site into every coefficient, so their rounding error is about 1e-16
@@ -116,7 +122,7 @@ through mass_sq it is 1.0-1.15.  The SuperLU factor and solves call scipy's
 own BLAS, whose pool stays asleep at d = 2 and at d = 3, M = 16 (969
 unknowns); at d = 3, M = 24 (2925 unknowns) an evolve wakes it (ROADMAP.md).
 
-scipy is imported only when a stepper or a Laplacian matrix is built, so
+scipy is imported only when a stepper or a quotient Laplacian is built, so
 the subcommands that never evolve do not pay its import.
 """
 
@@ -131,45 +137,33 @@ import numpy as np
 
 from .errors import SolverDivergenceError, ZeroObservationError
 from .lattice import (LatticeField, LatticeWindow, Potential, SiteOrbits, boundary_mass_fraction,
-                      mass_sq, snapshot_blocks, star_log_weight)
+                      mass_sq, star_log_weight)
 
 _RESIDUAL_TOL = 1e-12
 _MAX_BLOCK_STEPS_D1 = 16  # CN steps per solve at d = 1; one step at d >= 2
 
 
-def laplacian_matrix(window: LatticeWindow) -> "scipy.sparse.csc_matrix":
-    """Sparse Delta_d with zero padding: kron sum of 1-d second differences."""
+def quotient_laplacian(orbits: SiteOrbits) -> "scipy.sparse.csc_matrix":
+    """R Delta_d S with zero padding (Delta_d itself for the trivial group):
+    row o has -2d on the diagonal and, at the orbit of each in-window
+    neighbour j +- e_k of o's representative j, the count of such neighbours;
+    no neighbour is in the site's own orbit (see the module docstring)."""
     import scipy.sparse as sp
 
-    n = 2 * window.M + 1
-    ones = np.ones(n)
-    lap1 = sp.diags([ones[:-1], -2.0 * ones, ones[:-1]], [-1, 0, 1], format="csc")
-    eye = sp.identity(n, format="csc")
-    total = None
+    window, n = orbits.window, orbits.count
+    reps = np.unravel_index(orbits.representatives, window.shape)
+    rows, cols = [np.arange(n)], [np.arange(n)]
     for k in range(window.d):
-        term = None
-        for pos in range(window.d):
-            factor = lap1 if pos == k else eye
-            term = factor if term is None else sp.kron(term, factor, format="csc")
-        total = term if total is None else total + term
-    return total.tocsc()
-
-
-def quotient_matrix(matrix, orbits: SiteOrbits) -> "scipy.sparse.csc_matrix":
-    """R matrix S on the orbits: R picks each orbit's representative row and
-    S sums each orbit's columns, so the result maps orbit-invariant fields,
-    held at the representatives, as matrix maps them on the window.
-
-    For a nearest-neighbour matrix every sum is of equal off-diagonal
-    entries, and a site's own orbit holds none of its neighbours (sum_k |j_k|
-    is constant on an orbit and changes by 1 between neighbours), so the
-    quotient entries are exact multiples of the window's."""
-    import scipy.sparse as sp
-
-    n = orbits.window.site_count
-    S = sp.csr_matrix((np.ones(n), (np.arange(n), orbits.site_orbit.ravel())),
-                      shape=(n, orbits.count))
-    return (matrix.tocsr()[orbits.representatives] @ S).tocsc()
+        for shift in (-1, 1):
+            moved = reps[k] + shift
+            inside = (moved >= 0) & (moved <= 2 * window.M)
+            rows.append(np.flatnonzero(inside))
+            cols.append(orbits.site_orbit[tuple(moved[inside] if axis == k else c[inside]
+                                                for axis, c in enumerate(reps))])
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    # the COO -> CSC conversion sums the duplicates and sorts each column
+    return sp.csc_matrix((np.where(rows == cols, -2.0 * window.d, 1.0), (rows, cols)),
+                         shape=(n, n))
 
 
 def _symmetry(u0: LatticeField, potential: Potential) -> SiteOrbits:
@@ -200,6 +194,8 @@ class EvolutionConfig:
     def __post_init__(self):
         if not (0 < self.dt <= 0.01):
             raise ValueError("dt must satisfy 0 < dt <= 0.01")
+        if not self.T > 0:
+            raise ValueError("T must be > 0")
         steps = self.T / self.dt
         if abs(steps - round(steps)) > 1e-9:
             raise ValueError("T/dt must be integral")
@@ -216,11 +212,12 @@ class EvolutionConfig:
 
 @dataclass
 class Trajectory:
-    """Stored snapshots of one evolution plus per-node conserved-norm logs."""
+    """Stored snapshots of one evolution, one value per orbit of the symmetry
+    group they are invariant under, plus per-node conserved-norm logs."""
 
-    window: LatticeWindow
+    orbits: SiteOrbits
     times: np.ndarray
-    values: np.ndarray  # (n_stored, *window.shape)
+    orbit_values: np.ndarray  # (n_stored, orbits.count): the values at the representatives
     norm_logs: np.ndarray
     config: EvolutionConfig
     scale_log: float = 0.0  # log of any normalization applied afterwards
@@ -228,20 +225,20 @@ class Trajectory:
     # solves, "block_steps": most CN steps advanced by one solve, the symmetry:
     # "folded_axes", "swapped_axes", "quotient_sites"}
     solver_stats: dict = field(default_factory=dict)
-    # the symmetry group the values are invariant under; the trivial one if None
-    orbits: SiteOrbits | None = None
 
-    def __post_init__(self):
-        if self.orbits is None:
-            self.orbits = SiteOrbits(self.window)
+    @property
+    def window(self) -> LatticeWindow:
+        return self.orbits.window
+
+    @property
+    def values(self) -> np.ndarray:
+        """Every snapshot unfolded to the full window, (n_stored,
+        *window.shape): a new array on each read."""
+        return self.orbits.unfold(self.orbit_values)
 
     @property
     def n_stored(self) -> int:
         return len(self.times)
-
-    def site_series(self, j) -> np.ndarray:
-        idx = (slice(None),) + self.window.index_of(j)
-        return self.values[idx]
 
     def time_weights(self) -> np.ndarray:
         """Composite Simpson weights on the stored uniform grid."""
@@ -249,17 +246,15 @@ class Trajectory:
 
     def boundary_mass(self) -> float:
         """The largest boundary_mass_fraction over the stored snapshots."""
-        return max(float(np.max(boundary_mass_fraction(self.values[block], self.orbits)))
-                   for block in snapshot_blocks(self.n_stored, self.orbits))
+        return float(np.max(boundary_mass_fraction(self.orbit_values, self.orbits)))
 
     def norm_drift(self) -> float:
         return float(np.max(np.abs(np.exp(self.norm_logs - self.norm_logs[0]) - 1.0)))
 
     def scaled(self, factor: float) -> "Trajectory":
-        return Trajectory(self.window, self.times, factor * self.values,
-                          self.norm_logs + math.log(abs(factor)),
-                          self.config, self.scale_log + math.log(abs(factor)),
-                          self.solver_stats, self.orbits)
+        return Trajectory(self.orbits, self.times, factor * self.orbit_values,
+                          self.norm_logs + math.log(abs(factor)), self.config,
+                          self.scale_log + math.log(abs(factor)), self.solver_stats)
 
 
 def _simpson_weights(n_nodes: int, h: float) -> np.ndarray:
@@ -301,12 +296,10 @@ class Stepper:
         from scipy.sparse.linalg import splu
 
         orbits = orbits or SiteOrbits(window)
-        lap, V = laplacian_matrix(window), potential.values.ravel()
-        if not orbits.trivial:
-            # R A S = I - i dt/2 (R Delta S + V at the representatives): the
-            # identity and V are diagonal and constant on each orbit
-            lap, V = quotient_matrix(lap, orbits), V[orbits.representatives]
-        H = lap + sp.diags(V.astype(complex))
+        # R A S = I - i dt/2 (R Delta S + V at the representatives): the
+        # identity and V are diagonal and constant on each orbit
+        V = potential.values.ravel()[orbits.representatives]
+        H = quotient_laplacian(orbits) + sp.diags(V.astype(complex))
         eye = sp.identity(H.shape[0], format="csc", dtype=complex)
         A = (eye - 0.5j * dt * H).tocsc()
         self.A, self._B = A, None
@@ -363,8 +356,8 @@ def evolve(u0: LatticeField, cfg: EvolutionConfig) -> Trajectory:
     """Integrate to T, storing every store_every-th node (endpoints always).
 
     The steps run on the quotient of the symmetry group that keeps both the
-    datum and the potential (see the module docstring); each stored node is
-    unfolded into the full window."""
+    datum and the potential (see the module docstring), and each stored node
+    keeps the quotient's values: one per orbit of that group."""
     window = cfg.window
     if u0.window != window:
         raise ValueError("datum window != config window")
@@ -372,7 +365,6 @@ def evolve(u0: LatticeField, cfg: EvolutionConfig) -> Trajectory:
     nodes = np.arange(0, n_steps + 1, cfg.store_every)
     if nodes[-1] != n_steps:
         nodes = np.append(nodes, n_steps)
-    values = np.empty((len(nodes),) + window.shape, dtype=complex)
     norm_logs = np.empty(len(nodes))
     max_block = _MAX_BLOCK_STEPS_D1 if window.d == 1 else 1
     gaps = [int(g) for g in np.diff(nodes)]
@@ -383,6 +375,7 @@ def evolve(u0: LatticeField, cfg: EvolutionConfig) -> Trajectory:
     steppers = {steps: Stepper(window, cfg.potential, cfg.dt, steps, orbits)
                 for steps in lengths}
     u = orbits.gather(u0.values).astype(complex)
+    orbit_values = np.empty((len(nodes), orbits.count), dtype=complex)
     weights = None if orbits.trivial else orbits.sizes  # the window's mass from u's
     stepper = steppers.get(1)
     Au = None if stepper is None else stepper.A @ u  # carried by one-step blocks
@@ -392,7 +385,7 @@ def evolve(u0: LatticeField, cfg: EvolutionConfig) -> Trajectory:
             previous, stepper = stepper, steppers[steps]
             u, Au = stepper.step(u, Au if stepper is previous else None)
             gap -= steps
-        np.take(u, orbits.site_orbit, out=values[k])
+        orbit_values[k] = u
         norm_logs[k] = 0.5 * math.log(mass_sq(u, 1, weights))
     solver_stats = {"refinement_solves": sum(s.refinement_solves for s in steppers.values()),
                     "max_relative_residual": max((s.max_relative_residual
@@ -401,8 +394,8 @@ def evolve(u0: LatticeField, cfg: EvolutionConfig) -> Trajectory:
                     "folded_axes": list(orbits.folded),
                     "swapped_axes": [list(pair) for pair in orbits.swapped],
                     "quotient_sites": orbits.count}
-    return Trajectory(window, nodes * cfg.dt, values, norm_logs, cfg,
-                      solver_stats=solver_stats, orbits=orbits)
+    return Trajectory(orbits, nodes * cfg.dt, orbit_values, norm_logs, cfg,
+                      solver_stats=solver_stats)
 
 
 def make_decaying_datum(window: LatticeWindow, profile: tuple) -> LatticeField:
@@ -441,7 +434,8 @@ def observation_integral(traj: Trajectory) -> float:
     if np.count_nonzero(sel) < 3:
         raise ZeroObservationError("too few stored nodes inside [3/8, 5/8]")
     sub_t = t[sel]
-    series = np.abs(traj.site_series([0] * traj.window.d)[sel]) ** 2
+    origin = traj.orbits.site_orbit[traj.window.index_of([0] * traj.window.d)]  # its own orbit
+    series = np.abs(traj.orbit_values[sel, origin]) ** 2
     w = _simpson_weights(len(sub_t), float(sub_t[1] - sub_t[0]))
     return float(np.dot(w, series))
 

@@ -66,7 +66,8 @@ def lambda_scan(source, cfg: ExperimentConfig) -> dict:
         bmass = source.boundary_mass()
         lams = ring_masses(source, cfg.R_list, time_weights=source.time_weights())
     else:
-        bmass = float(boundary_mass_fraction(source.values, SiteOrbits(window)))
+        orbits = SiteOrbits(window)
+        bmass = float(boundary_mass_fraction(orbits.gather(source.values), orbits))
         lams = ring_masses(source, cfg.R_list)
 
     d = window.d
@@ -106,8 +107,13 @@ def lambda_scan(source, cfg: ExperimentConfig) -> dict:
 
 
 def _interior_indices(traj: Trajectory, n_times: int = 9) -> list:
+    """The stored nodes nearest to n_times interior times in [0.1, 0.9]; an
+    endpoint among them would compare a snapshot with itself, so it raises."""
     targets = np.linspace(0.1, 0.9, n_times)
-    return [int(np.argmin(np.abs(traj.times - t))) for t in targets]
+    idxs = [int(np.argmin(np.abs(traj.times - t))) for t in targets]
+    if 0 in idxs or traj.n_stored - 1 in idxs:
+        raise ValueError(f"an interior time lands on an endpoint of {traj.n_stored} stored nodes")
+    return idxs
 
 
 def _directional_log_sums(log_mass: np.ndarray, axis_values: np.ndarray, betas_per_axis) -> np.ndarray:
@@ -129,8 +135,9 @@ def log_convexity_check(traj: Trajectory, beta_list, cfg: ExperimentConfig,
     """rho(beta, t) = sum e^{2 beta.j} |u(t)|^2 / sum e^{2 beta.j}(|u(0)|^2+|u(1)|^2)
     at interior stored times, in the log domain; the empirical constant is
     C_emp = max log rho / L, which the two-endpoint bound keeps finite
-    uniformly in beta."""
-    window = traj.window
+    uniformly in beta.  No symmetry keeps e^{2 beta.j}, so the snapshots read
+    are unfolded to the full window."""
+    window, orbits = traj.window, traj.orbits
     idxs = _interior_indices(traj, n_times)
     betas = [np.atleast_1d(np.asarray(b, dtype=float)) for b in beta_list]
     betas = np.array(betas).reshape(len(betas), window.d)
@@ -139,7 +146,8 @@ def log_convexity_check(traj: Trajectory, beta_list, cfg: ExperimentConfig,
     pick = tuple(inv for _, inv in per_axis)
 
     def log_sums(i):
-        return _directional_log_sums(log_abs_sq(traj.values[i]), window.axes, values)[pick]
+        full = orbits.unfold(traj.orbit_values[i])
+        return _directional_log_sums(log_abs_sq(full), window.axes, values)[pick]
 
     den = np.logaddexp(log_sums(0), log_sums(-1))
     log_rho = [log_sums(i) - den for i in idxs]
@@ -219,7 +227,7 @@ def star_weight_sup_log_rho(traj: Trajectory, mu_grid) -> np.ndarray:
     orbits = traj.orbits
 
     def bins(i):
-        return radial_log_sums(orbits, orbits.log_mass(traj.values[i]))
+        return radial_log_sums(orbits, orbits.log_mass(traj.orbit_values[i]))
 
     r_sq, first = bins(0)
     last = bins(-1)[1]

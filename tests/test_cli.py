@@ -291,10 +291,30 @@ def test_negative_l_exits_2_before_evolving(subcommand, tmp_path, capsys):
     (["carleman-check", "--alpha", "0"], "bad value for alpha"),
     (["carleman-check", "--alpha", "-1"], "bad value for alpha"),
     (["verify-counterexample"], "--field-from is required"),
+    # zero trials would pass every check over no trials at all
+    (["carleman-check", "--trials", "0"], "bad value for trials"),
+    (["commutator-check", "--trials", "0"], "bad value for trials"),
+    (["commutator-check", "--trials", "-3"], "bad value for trials"),
 ])
 def test_config_error_exits_2(argv, message, tmp_path, capsys):
     assert main([*argv, "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {message}")
+
+
+@pytest.mark.parametrize("T", ["-1", "0"])
+def test_nonpositive_final_time_exits_2(T, tmp_path, capsys):
+    # T = -1 used to exit 4 on an empty trajectory, and T = 0 to pass its norm
+    # check over zero steps
+    assert main(["evolve", "--T", T, "--M", "6", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "error: T must be > 0\n"
+
+
+def test_logconvexity_with_only_the_endpoints_stored_exits_2(tmp_path, capsys):
+    # with t = 0 and t = 1 alone stored, every interior time would pick an
+    # endpoint, and rho <= 1 would hold by construction
+    assert main(["logconvexity", "--M", "8", "--store-every", "1000",
+                 "--out", str(tmp_path)]) == 2
+    assert "interior time lands on an endpoint" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flags", [["--M", "3", "--dt", "0.5"], ["--d", "2"], ["--M", "12"],
@@ -528,3 +548,29 @@ def test_import_cli_leaves_scipy_unimported():
     result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                             text=True, timeout=60, check=True)
     assert result.stdout.strip() == "[]"
+
+
+# In-process peak RSS of one CLI run, in MB (ru_maxrss is in kB on Linux).
+_RSS_PROBE = """
+import resource, sys
+from carleman.cli import main
+code = main(sys.argv[1:])
+print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in kB on Linux")
+def test_d3_lambda_scan_holds_orbit_values_only(tmp_path):
+    # 21 stored nodes at d = 3, M = 32: 2.2 MB of orbit values (6545 orbits)
+    # against 92 MB unfolded to the window.  Measured peak: 94 MB holding orbit
+    # values, 266 MB holding every node unfolded (2 vCPUs, numpy + scipy loaded)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    argv = ["lambda-scan", "--d", "3", "--M", "32", "--dt", "0.01", "--R-list", "8..20",
+            "--out", str(tmp_path), "--stamp", "pinned"]
+    result = subprocess.run([sys.executable, "-c", _RSS_PROBE, *argv], env=env,
+                            capture_output=True, text=True, timeout=120, check=True)
+    code, peak_mb = result.stdout.splitlines()[-1].split()  # after the verdict lines
+    assert code == "0"
+    assert float(peak_mb) < 150.0

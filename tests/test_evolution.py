@@ -11,11 +11,10 @@ import pytest
 import carleman
 from carleman.bessel import bessel_j
 from carleman.errors import SolverDivergenceError, ZeroObservationError
-from carleman.evolution import (EvolutionConfig, Stepper, evolve, laplacian_matrix,
-                                make_decaying_datum, normalize_observation, observation_integral,
-                                quotient_matrix)
+from carleman.evolution import (EvolutionConfig, Stepper, evolve, make_decaying_datum,
+                                normalize_observation, observation_integral, quotient_laplacian)
 from carleman.lattice import (LatticeField, LatticeWindow, Potential, SiteOrbits,
-                              boundary_mass_fraction, mass_sq)
+                              boundary_mass_fraction, laplacian_values, mass_sq)
 
 
 def dense_cn_oracle(u0, cfg):
@@ -202,7 +201,7 @@ def test_zero_observation_raises():
     window, cfg = free_config(M=16, dt=2e-3)
     traj = evolve(LatticeField.delta(window), cfg)
     dead = traj.scaled(1.0)
-    dead.values = np.zeros_like(dead.values)
+    dead.orbit_values = np.zeros_like(dead.orbit_values)
     with pytest.raises(ZeroObservationError):
         normalize_observation(dead)
 
@@ -215,7 +214,7 @@ def test_laplacian_matrix_matches_pointwise_operator():
     vals = rng.standard_normal(window.shape) + 1j * rng.standard_normal(window.shape)
     u = LatticeField.from_values(window, vals)
     direct = discrete_laplacian(u).values
-    via_matrix = (laplacian_matrix(window) @ vals.ravel()).reshape(window.shape)
+    via_matrix = (quotient_laplacian(SiteOrbits(window)) @ vals.ravel()).reshape(window.shape)
     assert np.max(np.abs(direct - via_matrix)) < 1e-14
 
 
@@ -341,7 +340,7 @@ def test_d1_blocks_match_dense_solve_oracle():
 
 def per_step_loop(u0, cfg, orbits):
     """evolve's stored nodes from a plain loop of one-step solves on the
-    quotient of the orbits, unfolded through the orbit map."""
+    quotient of the orbits: one value per orbit at each node."""
     stepper = Stepper(cfg.window, cfg.potential, cfg.dt, orbits=orbits)
     u = orbits.gather(u0.values).astype(complex)
     Au = stepper.A @ u
@@ -350,7 +349,7 @@ def per_step_loop(u0, cfg, orbits):
         u, Au = stepper.step(u, Au)
         if step % cfg.store_every == 0 or step == cfg.n_steps:
             nodes.append(u)
-    return np.array([np.take(q, orbits.site_orbit) for q in nodes])
+    return np.array(nodes)
 
 
 def full_group(window):
@@ -369,8 +368,9 @@ def test_d2_evolve_is_the_per_step_loop_bit_for_bit():
     assert traj.solver_stats["swapped_axes"] == [[0, 1]]
     assert traj.solver_stats["quotient_sites"] == 45  # 0 <= j_2 <= j_1 <= 8
     assert traj.orbits == full_group(window)
-    assert np.array_equal(traj.values, per_step_loop(LatticeField.delta(window), cfg,
-                                                     full_group(window)))
+    loop = per_step_loop(LatticeField.delta(window), cfg, full_group(window))
+    assert np.array_equal(traj.orbit_values, loop)
+    assert np.array_equal(traj.values, traj.orbits.unfold(loop))
 
 
 @pytest.mark.parametrize("case, folded", [("random_datum", ()), ("ramp_potential", (1,))])
@@ -391,7 +391,9 @@ def test_uneven_axes_stay_unfolded(case, folded):
     traj = evolve(u0, cfg)
     assert traj.solver_stats["folded_axes"] == list(folded)
     assert traj.solver_stats["swapped_axes"] == []
-    assert np.array_equal(traj.values, per_step_loop(u0, cfg, SiteOrbits(window, folded)))
+    loop = per_step_loop(u0, cfg, SiteOrbits(window, folded))
+    assert np.array_equal(traj.orbit_values, loop)
+    assert np.array_equal(traj.values, traj.orbits.unfold(loop))
 
 
 def test_anisotropic_datum_stays_on_the_reflection_quotient():
@@ -406,7 +408,9 @@ def test_anisotropic_datum_stays_on_the_reflection_quotient():
     assert traj.solver_stats["folded_axes"] == [0, 1]
     assert traj.solver_stats["swapped_axes"] == []
     assert traj.solver_stats["quotient_sites"] == 11 * 11
-    assert np.array_equal(traj.values, per_step_loop(u0, cfg, SiteOrbits(window, (0, 1))))
+    loop = per_step_loop(u0, cfg, SiteOrbits(window, (0, 1)))
+    assert np.array_equal(traj.orbit_values, loop)
+    assert np.array_equal(traj.values, traj.orbits.unfold(loop))
 
 
 # Measured max |d log|u|| of the swap quotient (alternating V, dt = 1e-2,
@@ -432,7 +436,8 @@ def test_swap_quotient_matches_reflection_and_unfolded_loops(d, M, datum):
     assert traj.solver_stats["quotient_sites"] == math.comb(M + d, d)
     bound = SWAP_QUOTIENT_BOUNDS[(d, datum[0])]
     for orbits in (SiteOrbits(window, tuple(range(d))), SiteOrbits(window)):
-        assert max_log_deviation(traj.values, per_step_loop(u0, cfg, orbits)) <= bound
+        loop = orbits.unfold(per_step_loop(u0, cfg, orbits))
+        assert max_log_deviation(traj.values, loop) <= bound
 
 
 def symmetrized(vals, orbits):
@@ -459,7 +464,8 @@ GROUPS = [(1, 6, (0,), ()), (2, 5, (1,), ()), (2, 5, (0, 1), ()), (2, 5, (0, 1),
 
 def test_folded_laplacian_is_the_window_laplacian_on_even_fields():
     # the quotient matrix applied to the representatives of a field invariant
-    # under the group gives the window Laplacian there, up to summation order
+    # under the group gives the pointwise window Laplacian there, up to
+    # summation order
     rng = np.random.default_rng(4)
     for d, M, folded, swapped in GROUPS:
         window = LatticeWindow(d, M)
@@ -470,8 +476,8 @@ def test_folded_laplacian_is_the_window_laplacian_on_even_fields():
         # the symmetrization: the orbits are the group's
         assert np.max(np.abs(np.take(orbits.gather(vals), orbits.site_orbit) - vals)) < 1e-13
         assert orbits.sizes.sum() == window.site_count
-        full = orbits.gather((laplacian_matrix(window) @ vals.ravel()).reshape(window.shape))
-        quotient = quotient_matrix(laplacian_matrix(window), orbits) @ orbits.gather(vals)
+        full = orbits.gather(laplacian_values(vals, d))
+        quotient = quotient_laplacian(orbits) @ orbits.gather(vals)
         assert np.max(np.abs(quotient - full)) < 1e-13
 
 
@@ -480,7 +486,7 @@ def test_quotient_laplacian_entries_are_neighbour_counts():
     # under the full group the origin sees its 4 neighbours in one orbit
     window = LatticeWindow(2, 4)
     orbits = full_group(window)
-    lap = quotient_matrix(laplacian_matrix(window), orbits).toarray()
+    lap = quotient_laplacian(orbits).toarray()
     assert set(np.unique(lap)) <= {-4.0, 0.0, 1.0, 2.0, 4.0}
     assert lap[0, 0] == -4.0 and lap[0, orbits.site_orbit[5, 4]] == 4.0
     assert np.array_equal(lap.sum(axis=1)[:3], [0.0, 0.0, 0.0])
@@ -514,8 +520,9 @@ def test_orbit_weighted_quotient_mass_is_the_window_mass(d, folded):
 def test_trajectory_boundary_mass_is_the_per_snapshot_maximum():
     window, cfg = free_config(M=10, dt=1e-2, d=2)
     traj = evolve(LatticeField.delta(window), cfg)
-    traj.values[0] = 0.0  # a zero snapshot counts as no boundary mass
-    per_snapshot = max(boundary_mass_fraction(v, SiteOrbits(window)) for v in traj.values)
+    traj.orbit_values[0] = 0.0  # a zero snapshot counts as no boundary mass
+    trivial = SiteOrbits(window)  # the full-window fraction of each unfolded snapshot
+    per_snapshot = max(boundary_mass_fraction(trivial.gather(v), trivial) for v in traj.values)
     assert per_snapshot > 1e-12
     assert traj.boundary_mass() == pytest.approx(per_snapshot, rel=1e-13)
 

@@ -10,7 +10,7 @@ from carleman.experiments import (ExperimentConfig, beta_grid, k_bessel_weight_c
                                   lambda_scan, log_convexity_check,
                                   log_convexity_stability, norm_star_equivalence,
                                   weighted_uniqueness_threshold)
-from carleman.lattice import LatticeField, LatticeWindow, Potential, star_log_weight
+from carleman.lattice import LatticeField, LatticeWindow, Potential, SiteOrbits, star_log_weight
 from carleman.logscalar import NEG_INF
 
 
@@ -30,8 +30,10 @@ def star_decay_field(window, mu):
 def resting_trajectory(window, n_times=11):
     """A trajectory that stays at the delta datum: every ring R >= 3 is empty."""
     times = np.linspace(0.0, 1.0, n_times)
-    values = np.repeat(LatticeField.delta(window).values[None], n_times, axis=0)
-    return Trajectory(window, times, values, np.zeros(n_times), config=None)
+    orbits = SiteOrbits(window)
+    delta = orbits.gather(LatticeField.delta(window).values)
+    orbit_values = np.repeat(delta[None], n_times, axis=0)
+    return Trajectory(orbits, times, orbit_values, np.zeros(n_times), config=None)
 
 
 def test_lambda_scan_zero_field_vacuous():
@@ -215,8 +217,9 @@ def test_log_convexity_stability_vacuous_flag():
     window = LatticeWindow(1, 12)
     times = np.linspace(0.0, 1.0, 21)
     f = 1.0 + 4.0 * times * (1.0 - times)
-    values = f[:, None] * LatticeField.delta(window).values[None]
-    traj = Trajectory(window, times, values.astype(complex), np.log(f), config=None)
+    orbit_values = f[:, None] * LatticeField.delta(window).values[None]  # d = 1: one site an orbit
+    traj = Trajectory(SiteOrbits(window), times, orbit_values.astype(complex), np.log(f),
+                      config=None)
     out = log_convexity_stability(traj, 1.0, ExperimentConfig(L=1.0))
     assert out["C_emp_base"] == pytest.approx(math.log(4.0 / 2.0), abs=1e-12)
     assert out["vacuous"] is False and out["stable"]

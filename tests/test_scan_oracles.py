@@ -6,7 +6,6 @@ replace (per-snapshot logaddexp over every site), within 1e-14 relative."""
 
 import itertools
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -83,7 +82,10 @@ def random_values(window, rng, n_time=None, zero_frac=0.1):
     """Complex values whose magnitudes span hundreds of e-folds, with some
     exact zeros."""
     lead = () if n_time is None else (n_time,)
-    shape = lead + window.shape
+    return random_array(lead + window.shape, rng, zero_frac)
+
+
+def random_array(shape, rng, zero_frac=0.1):
     log_mag = -rng.uniform(0.0, 370.0, size=shape)
     phase = np.exp(2j * np.pi * rng.uniform(size=shape))
     values = np.exp(log_mag) * phase
@@ -92,9 +94,11 @@ def random_values(window, rng, n_time=None, zero_frac=0.1):
 
 
 def random_trajectory(window, rng, n_time=21):
-    values = random_values(window, rng, n_time)
-    times = np.linspace(0.0, 1.0, n_time)
-    return Trajectory(window, times, values, np.zeros(n_time), config=None)
+    """A trajectory of random values on the trivial group: one site an orbit."""
+    orbits = SiteOrbits(window)
+    orbit_values = random_array((n_time, orbits.count), rng)
+    return Trajectory(orbits, np.linspace(0.0, 1.0, n_time), orbit_values, np.zeros(n_time),
+                      config=None)
 
 
 def assert_log_close(got, want):
@@ -121,8 +125,7 @@ def test_ring_masses_match_per_ring_loop_stationary(d, M, seed):
 @pytest.mark.parametrize("seed", [0, 1])
 def test_ring_masses_match_per_ring_loop_space_time(d, M, seed):
     rng = np.random.default_rng(10 + seed)
-    window = LatticeWindow(d, M)
-    u = SimpleNamespace(window=window, values=random_values(window, rng, n_time=13))
+    u = random_trajectory(LatticeWindow(d, M), rng, n_time=13)
     time_weights = rng.uniform(0.01, 1.0, size=13)
     R_list = tuple(float(R) for R in range(3, M - 1))
     for R, log_lam in zip(R_list, ring_masses(u, R_list, time_weights=time_weights)):
@@ -256,22 +259,20 @@ def full_window_star_sup_log_rho(traj, mu_grid):
 
 
 def invariant_trajectory(window, rng, full_group, n_time=21):
-    """A trajectory whose snapshots are exactly invariant under every
-    reflection and axis swap (values drawn per sorted |j|) when full_group,
-    and random otherwise; with the SiteOrbits it is invariant under."""
+    """A trajectory of random orbit values, under every reflection and axis
+    swap when full_group and under the trivial group otherwise."""
     axes = tuple(range(window.d))
-    if not full_group:
-        orbits = SiteOrbits(window)
-        values = random_values(window, rng, n_time)
-    else:
-        orbits = SiteOrbits(window, axes, tuple(itertools.combinations(axes, 2)))
-        key = np.sort(np.abs(np.indices(window.shape) - window.M), axis=0)
-        table = random_values(LatticeWindow(window.d, window.M), rng, n_time)
-        values = table[(slice(None),) + tuple(key + window.M)]
-    # magnitudes down to e^-185 and a snapshot with one zero orbit
-    values[(3,) + (window.M,) * window.d] = 0.0
-    return Trajectory(window, np.linspace(0.0, 1.0, n_time), values, np.zeros(n_time),
-                      config=None, orbits=orbits)
+    orbits = (SiteOrbits(window, axes, tuple(itertools.combinations(axes, 2))) if full_group
+              else SiteOrbits(window))
+    orbit_values = random_array((n_time, orbits.count), rng)
+    # magnitudes down to e^-370 and a snapshot with one zero orbit
+    orbit_values[3, origin_orbit(orbits)] = 0.0
+    return Trajectory(orbits, np.linspace(0.0, 1.0, n_time), orbit_values, np.zeros(n_time),
+                      config=None)
+
+
+def origin_orbit(orbits):
+    return orbits.site_orbit[(orbits.window.M,) * orbits.window.d]
 
 
 def assert_rel_close(got, want):
@@ -301,8 +302,8 @@ def test_orbit_boundary_mass_matches_full_window_sum(d, M, full_group):
     traj = invariant_trajectory(LatticeWindow(d, M), rng, full_group)
     # mass at the origin and at the corners, in the shell, so that the
     # fraction is well inside (0, 1)
-    traj.values[(slice(None),) + (M,) * d] = 2.0 ** d
-    traj.values[(slice(None),) + np.ix_(*[[0, -1]] * d)] = 1.0
+    traj.orbit_values[:, origin_orbit(traj.orbits)] = 2.0 ** d
+    traj.orbit_values[:, traj.orbits.site_orbit[np.ix_(*[[0, -1]] * d)].ravel()] = 1.0
     assert_rel_close(traj.boundary_mass(), full_window_boundary_mass(traj))
 
 
