@@ -100,7 +100,8 @@ swap quotient differs from the reflection-only stepper by 4.2e-8 and from the
 unfolded one by 8.2e-8, at |u| near 3e-49 in the corner of the window.  There
 float CN itself loses digits: against the CN recurrence in 40-digit
 arithmetic, the reflection-only stepper is off by 1.8e-8 and the unfolded one
-by 6.3e-8 at t = 1 (ROADMAP.md, Direction 6).
+by 6.3e-8 at t = 1 (ROADMAP.md, Direction 1, "If measurement rejects this
+direction").
 
 At d = 1 ``evolve`` steps on the trivial group.  The minimum-degree ordering of
 the folded A^k is not the natural one, and it costs relative accuracy deep in
@@ -173,13 +174,11 @@ def _symmetry(u0: LatticeField, potential: Potential) -> SiteOrbits:
     d = u0.window.d
 
     def keeps(move) -> bool:
-        V = potential.values
-        return (np.array_equal(u0.values, move(u0.values, 0))
-                and np.array_equal(V, move(V, V.ndim - d)))
+        return all(np.array_equal(v, move(v)) for v in (u0.values, potential.values))
 
-    folded = tuple(k for k in range(d) if keeps(lambda v, lead: np.flip(v, lead + k)))
+    folded = tuple(k for k in range(d) if keeps(lambda v: np.flip(v, k)))
     swapped = tuple((k, l) for k, l in itertools.combinations(folded, 2)
-                    if keeps(lambda v, lead: np.swapaxes(v, lead + k, lead + l)))
+                    if keeps(lambda v: np.swapaxes(v, k, l)))
     return SiteOrbits(u0.window, folded, swapped)
 
 

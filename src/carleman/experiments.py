@@ -130,15 +130,14 @@ def _directional_log_sums(log_mass: np.ndarray, axis_values: np.ndarray, betas_p
     return x
 
 
-def log_convexity_check(traj: Trajectory, beta_list, cfg: ExperimentConfig,
-                        n_times: int = 9) -> dict:
+def log_convexity_check(traj: Trajectory, beta_list, cfg: ExperimentConfig) -> dict:
     """rho(beta, t) = sum e^{2 beta.j} |u(t)|^2 / sum e^{2 beta.j}(|u(0)|^2+|u(1)|^2)
     at interior stored times, in the log domain; the empirical constant is
     C_emp = max log rho / L, which the two-endpoint bound keeps finite
     uniformly in beta.  No symmetry keeps e^{2 beta.j}, so the snapshots read
     are unfolded to the full window."""
     window, orbits = traj.window, traj.orbits
-    idxs = _interior_indices(traj, n_times)
+    idxs = _interior_indices(traj)
     betas = [np.atleast_1d(np.asarray(b, dtype=float)) for b in beta_list]
     betas = np.array(betas).reshape(len(betas), window.d)
     per_axis = [np.unique(betas[:, k], return_inverse=True) for k in range(window.d)]
@@ -162,9 +161,10 @@ def log_convexity_check(traj: Trajectory, beta_list, cfg: ExperimentConfig,
     return out
 
 
-def beta_grid(beta_max: float, d: int, n: int = 17) -> list:
-    """Axis-aligned beta grid with |beta|_inf <= beta_max (d = 1 or 2)."""
-    line = np.linspace(-beta_max, beta_max, n)
+def beta_grid(beta_max: float, d: int) -> list:
+    """Axis-aligned beta grid with |beta|_inf <= beta_max, 17 values an axis
+    (d = 1 or 2)."""
+    line = np.linspace(-beta_max, beta_max, 17)
     if d == 1:
         return [np.array([b]) for b in line]
     if d == 2:
@@ -172,14 +172,13 @@ def beta_grid(beta_max: float, d: int, n: int = 17) -> list:
     raise ValueError("beta grids implemented for d <= 2")
 
 
-def log_convexity_stability(traj: Trajectory, beta_max: float, cfg: ExperimentConfig,
-                            n_times: int = 9) -> dict:
+def log_convexity_stability(traj: Trajectory, beta_max: float, cfg: ExperimentConfig) -> dict:
     """C_emp at beta_max and at 2 beta_max; the beta-independence claim says
     the change stays small (20% is the acceptance gate)."""
     if cfg.L <= 0:
         raise ValueError("stability check needs L > 0")
-    one = log_convexity_check(traj, beta_grid(beta_max, traj.window.d), cfg, n_times)
-    two = log_convexity_check(traj, beta_grid(2.0 * beta_max, traj.window.d), cfg, n_times)
+    one = log_convexity_check(traj, beta_grid(beta_max, traj.window.d), cfg)
+    two = log_convexity_check(traj, beta_grid(2.0 * beta_max, traj.window.d), cfg)
     c1, c2 = one["C_emp"], two["C_emp"]
     rel = abs(c2 - c1) / max(abs(c1), 1e-300)
     # with C_emp <= 0 no ratio exceeds 1, so the relative change says nothing

@@ -57,8 +57,8 @@ def fit_decay(rows: Sequence[tuple], model_tag: str) -> FitResult:
     return FitResult(float(coef[0]), float(coef[1]), rms, model_tag)
 
 
-def best_model(rows: Sequence[tuple], models: Sequence[str] = MODELS) -> dict:
-    """Fit every model and rank by RMS log-residual."""
-    fits = {tag: fit_decay(rows, tag) for tag in models}
+def best_model(rows: Sequence[tuple]) -> dict:
+    """Fit every model of MODELS and rank by RMS log-residual."""
+    fits = {tag: fit_decay(rows, tag) for tag in MODELS}
     order = sorted(fits, key=lambda tag: fits[tag].residual)
     return {"fits": fits, "ranking": order, "best": order[0]}

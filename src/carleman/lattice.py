@@ -209,8 +209,8 @@ class Potential:
     values: np.ndarray
 
     def __post_init__(self):
-        if self.values.shape[-self.window.d:] != self.window.shape:
-            raise ValueError("potential shape incompatible with window")
+        if self.values.shape != self.window.shape:
+            raise ValueError(f"potential shape {self.values.shape} != window shape {self.window.shape}")
 
     @staticmethod
     def zero(window: LatticeWindow) -> "Potential":

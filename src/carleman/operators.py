@@ -40,7 +40,7 @@ from numpy.polynomial import polynomial as P
 from .errors import NonFiniteError, SupportViolationError, ToleranceExceededError
 from .lattice import LatticeWindow, laplacian_values, weighted_log_norm
 from .logscalar import NEG_INF, log_cosh, log_sinh
-from .profiles import TimeProfile, WeightSpec, _glue_h, weight_log_magnitude
+from .profiles import TimeProfile, WeightSpec, _glue, weight_log_magnitude
 from .quadrature import QuadratureRule, gauss_legendre
 
 # Entries of one (trials, T, *window.shape) field array in a block of trials:
@@ -326,11 +326,11 @@ def _commutator_terms(f: SpaceTimeField, co: OperatorCoefficients) -> tuple:
     return np.real(inner(comm, f)), sf, af
 
 
-def _draw(window: LatticeWindow, rng, t_degree: int = 3) -> tuple:
+def _draw(window: LatticeWindow, rng) -> tuple:
     """One field's random data, in the fixed draw order: the coefficients of
-    psi = t^2 (1-t)^2 times a random polynomial, then the complex Gaussian
-    site values."""
-    coeffs = rng.standard_normal(t_degree + 1) + 1j * rng.standard_normal(t_degree + 1)
+    psi = t^2 (1-t)^2 times a random cubic, then the complex Gaussian site
+    values."""
+    coeffs = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     h = rng.standard_normal(window.shape) + 1j * rng.standard_normal(window.shape)
     return P.polymul(_BUMP, coeffs), h
 
@@ -353,15 +353,15 @@ def _tensor_field(window: LatticeWindow, grid: QuadratureRule, psi: np.ndarray, 
 
 
 def random_tensor_field(window: LatticeWindow, grid: QuadratureRule, rng,
-                        support_margin: int = 3, t_degree: int = 3,
+                        support_margin: int = 3,
                         site_mask: np.ndarray | None = None) -> SpaceTimeField:
-    """psi(t) h_j with psi = t^2 (1-t)^2 times a random polynomial.
+    """psi(t) h_j with psi = t^2 (1-t)^2 times a random cubic.
 
     h is complex Gaussian, zeroed within support_margin of the window edge
     (and outside site_mask when given); the closed-form psi' rides along so
     operator compositions stay finite-difference-free.
     """
-    psi, h = _draw(window, rng, t_degree)
+    psi, h = _draw(window, rng)
     return _tensor_field(window, grid, psi, h, support_margin, site_mask)
 
 
@@ -392,6 +392,11 @@ def _worst(values: np.ndarray, block: range) -> tuple:
     return float(values[i]), block[i]
 
 
+def _params(spec: WeightSpec, **extra) -> dict:
+    """The parameter record of a batch report: the weight's, then extra."""
+    return {"d": spec.d, "R": spec.R, "alpha": spec.alpha, "phi": spec.phi.kind, **extra}
+
+
 def _check_report(check: str, params: dict, defect: float, tolerance: float) -> dict:
     return {"check": check, "params": params, "defect": defect,
             "tolerance": tolerance, "pass": bool(defect <= tolerance)}
@@ -412,13 +417,10 @@ def symmetry_check(spec: WeightSpec, window: LatticeWindow, trials: int, seed: i
             worst_trial = trial
         worst_sym = max(worst_sym, float(np.max(s_def)))
         worst_skew = max(worst_skew, float(np.max(a_def)))
+    params = _params(spec, trials=trials, seed=seed)
     report = {
-        "symmetry": _check_report("S_symmetry", {"d": spec.d, "R": spec.R, "alpha": spec.alpha,
-                                                 "phi": spec.phi.kind, "trials": trials, "seed": seed},
-                                  worst_sym, tolerance),
-        "skewness": _check_report("A_skewness", {"d": spec.d, "R": spec.R, "alpha": spec.alpha,
-                                                 "phi": spec.phi.kind, "trials": trials, "seed": seed},
-                                  worst_skew, tolerance),
+        "symmetry": _check_report("S_symmetry", params, worst_sym, tolerance),
+        "skewness": _check_report("A_skewness", params, worst_skew, tolerance),
     }
     if not (report["symmetry"]["pass"] and report["skewness"]["pass"]):
         raise ToleranceExceededError(
@@ -447,8 +449,7 @@ def commutator_check(spec: WeightSpec, window: LatticeWindow, trials: int, seed:
         total = SpaceTimeField(window, grid, sf.values + af.values)
         if np.any(total.norm_sq() < lhs - rel_tolerance * scale):
             cs_ok = False
-    params = {"d": spec.d, "R": spec.R, "alpha": spec.alpha, "phi": spec.phi.kind,
-              "trials": trials, "seed": seed}
+    params = _params(spec, trials=trials, seed=seed)
     report = {
         "identity": _check_report("commutator_identity", params, worst_ratio, rel_tolerance),
         "lower_bound": {"check": "norm_dominates_commutator", "params": params, "pass": cs_ok},
@@ -481,8 +482,7 @@ def conjugation_check(spec: WeightSpec, window: LatticeWindow, trials: int, seed
     return {
         "defect_over_norm_f": worst_abs,
         "defect_relative": worst_rel,
-        "params": {"d": spec.d, "R": spec.R, "alpha": spec.alpha, "phi": spec.phi.kind,
-                   "trials": trials, "seed": seed},
+        "params": _params(spec, trials=trials, seed=seed),
     }
 
 
@@ -517,9 +517,9 @@ def hiding_sides(alpha, R: float, d: int, sup_d1: float, sup_d2: float, s) -> di
 _HIDING_LEVELS = 5  # bisection steps decided per hiding_sides call
 
 
-def minimal_hiding_constant(d: int, R: float, phi: TimeProfile, s_grid,
-                            c_lo: float = 1e-3, c_hi: float = 64.0) -> dict:
-    """Smallest c such that both inequalities hold on the grid at alpha = c R log R.
+def minimal_hiding_constant(d: int, R: float, phi: TimeProfile, s_grid) -> dict:
+    """Smallest c in [1e-3, 64] such that both inequalities hold on the grid at
+    alpha = c R log R.
 
     80 bisection steps, decided _HIDING_LEVELS at a time: one hiding_sides
     call evaluates every midpoint those steps can reach, each computed as the
@@ -541,7 +541,7 @@ def minimal_hiding_constant(d: int, R: float, phi: TimeProfile, s_grid,
 
     if phi.sup_d1 == 0.0 and phi.sup_d2 == 0.0:
         return {"min_c": 0.0, "vacuous": True}
-    lo, hi = c_lo, c_hi
+    lo, hi = 1e-3, 64.0
     top, bottom = holds(np.array([hi, lo]))
     if not top:
         return {"min_c": math.inf, "vacuous": False}
@@ -614,17 +614,18 @@ def admissible_site_mask(spec: WeightSpec, window: LatticeWindow) -> tuple:
         s_sq = s_sq + (window.coordinate(k).astype(float) / spec.R) ** 2
     s = np.sqrt(s_sq + np.zeros(window.shape))
     hard = s >= 1.0
-    ramp = _glue_h(spec.R * (s - 1.0)) * hard
+    ramp = _glue(spec.R * (s - 1.0), 0) * hard
     return hard, ramp
 
 
-def carleman_ratio(spec: WeightSpec, g: SpaceTimeField, support_tol: float = 1e-14):
+def carleman_ratio(spec: WeightSpec, g: SpaceTimeField):
     """Smallest admissible constant for this g in the weighted inequality:
 
         sqrt(sinh(2a/R^2)) sinh(2a/(sqrt(d) R)) ||W g|| <= c ||W (i d_t + Delta_d) g||
 
     returns c_g (one per trial for a batch of g); weighted norms are evaluated
-    wholly in the log domain.
+    wholly in the log domain.  At most 1e-14 of g's mass may lie off the
+    admissible sites.
     """
     window, grid = g.window, g.grid
     d = window.d
@@ -633,7 +634,7 @@ def carleman_ratio(spec: WeightSpec, g: SpaceTimeField, support_tol: float = 1e-
     if np.any(total == 0.0):
         raise SupportViolationError("g vanishes identically")
     bad = np.sum(np.abs(g.values[..., ~hard]) ** 2, axis=(-2, -1)) / total
-    if np.any(bad > support_tol):
+    if np.any(bad > 1e-14):
         raise SupportViolationError(f"relative mass {np.max(bad):.3e} outside the admissible set")
     coords = [window.coordinate(k).astype(float) for k in range(d)]
     phi_t = np.asarray(spec.phi.value(grid.nodes)).reshape((len(grid.nodes),) + (1,) * d)
@@ -665,4 +666,4 @@ def carleman_constant_batch(spec: WeightSpec, window: LatticeWindow, trials: int
     if not ratios:
         raise SupportViolationError("no admissible trial fields were generated")
     return {"c_emp": max(ratios), "ratios": ratios, "trials": trials, "seed": seed,
-            "params": {"d": spec.d, "R": spec.R, "alpha": spec.alpha, "phi": spec.phi.kind}}
+            "params": _params(spec)}

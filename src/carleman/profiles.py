@@ -19,51 +19,34 @@ _PHI_PLATEAU = 3.0
 _GOLD = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _glue_h(s):
-    """h(s) = sigma(-u(s)) with u = 1/s - 1/(1-s); 0 at s<=0, 1 at s>=1."""
+def _glue(s, order: int):
+    """h(s) = sigma(-u(s)) with u = 1/s - 1/(1-s) (0 at s<=0, 1 at s>=1), or
+    its first or second derivative for order 1 or 2."""
     s = np.asarray(s, dtype=float)
     shape = s.shape
     s = np.atleast_1d(s)
-    out = np.empty_like(s)
-    out[s <= 0.0] = 0.0
-    out[s >= 1.0] = 1.0
+    out = np.zeros_like(s)
+    if order == 0:
+        out[s >= 1.0] = 1.0
     mid = (s > 0.0) & (s < 1.0)
     sm = s[mid]
     u = 1.0 / sm - 1.0 / (1.0 - sm)
     with np.errstate(over="ignore"):
-        out[mid] = np.where(u > 700, 0.0, np.where(u < -700, 1.0, 1.0 / (1.0 + np.exp(np.clip(u, -700, 700)))))
+        h = np.where(u > 700, 0.0, np.where(u < -700, 1.0, 1.0 / (1.0 + np.exp(np.clip(u, -700, 700)))))
+    if order == 0:
+        out[mid] = h
+    else:
+        du = -1.0 / sm**2 - 1.0 / (1.0 - sm) ** 2
+        if order == 1:
+            out[mid] = -du * h * (1.0 - h)
+        else:
+            ddu = 2.0 / sm**3 - 2.0 / (1.0 - sm) ** 3
+            hw = h * (1.0 - h)
+            out[mid] = -ddu * hw + du * du * hw * (1.0 - 2.0 * h)
     return out.reshape(shape)
 
 
-def _glue_h_d1(s):
-    s = np.asarray(s, dtype=float)
-    shape = s.shape
-    s = np.atleast_1d(s)
-    out = np.zeros_like(s)
-    mid = (s > 0.0) & (s < 1.0)
-    sm = s[mid]
-    h = _glue_h(sm)
-    du = -1.0 / sm**2 - 1.0 / (1.0 - sm) ** 2
-    out[mid] = -du * h * (1.0 - h)
-    return out.reshape(shape)
-
-
-def _glue_h_d2(s):
-    s = np.asarray(s, dtype=float)
-    shape = s.shape
-    s = np.atleast_1d(s)
-    out = np.zeros_like(s)
-    mid = (s > 0.0) & (s < 1.0)
-    sm = s[mid]
-    h = _glue_h(sm)
-    du = -1.0 / sm**2 - 1.0 / (1.0 - sm) ** 2
-    ddu = 2.0 / sm**3 - 2.0 / (1.0 - sm) ** 3
-    hw = h * (1.0 - h)
-    out[mid] = -ddu * hw + du * du * hw * (1.0 - 2.0 * h)
-    return out.reshape(shape)
-
-
-def _golden_max(f, a: float, b: float, iters: int = 90) -> float:
+def _golden_max(f, a: float, b: float) -> float:
     """Max of f on [a, b] by golden-section refinement over a coarse bracket."""
     grid = np.linspace(a, b, 4001)
     vals = f(grid)
@@ -72,7 +55,7 @@ def _golden_max(f, a: float, b: float, iters: int = 90) -> float:
     x1 = hi - _GOLD * (hi - lo)
     x2 = lo + _GOLD * (hi - lo)
     f1, f2 = float(f(np.array([x1]))[0]), float(f(np.array([x2]))[0])
-    for _ in range(iters):
+    for _ in range(90):
         if f1 < f2:
             lo, x1, f1 = x1, x2, f2
             x2 = lo + _GOLD * (hi - lo)
@@ -86,9 +69,7 @@ def _golden_max(f, a: float, b: float, iters: int = 90) -> float:
 
 @lru_cache(maxsize=None)
 def _glue_sup_derivatives() -> tuple:
-    sup1 = _golden_max(_glue_h_d1, 0.0, 1.0)
-    sup2 = _golden_max(lambda s: np.abs(_glue_h_d2(s)), 0.0, 1.0)
-    return sup1, sup2
+    return tuple(_golden_max(lambda s: np.abs(_glue(s, order)), 0.0, 1.0) for order in (1, 2))
 
 
 @dataclass(frozen=True)
@@ -134,29 +115,23 @@ class TimeProfile:
         return 0.0
 
     def value(self, t):
-        t = np.asarray(t, dtype=float)
-        if self.kind == "zero":
-            return np.zeros_like(t)
-        if self.kind == "constant":
-            return np.full_like(t, self.level)
-        up = _glue_h((t - 0.25) * 8.0)
-        down = _glue_h((0.75 - t) * 8.0)
-        return _PHI_PLATEAU * np.where(t < 0.5, up, down)
+        return self._derivative(t, 0)
 
     def d1(self, t):
-        t = np.asarray(t, dtype=float)
-        if self.kind in ("zero", "constant"):
-            return np.zeros_like(t)
-        up = 8.0 * _glue_h_d1((t - 0.25) * 8.0)
-        down = -8.0 * _glue_h_d1((0.75 - t) * 8.0)
-        return _PHI_PLATEAU * np.where(t < 0.5, up, down)
+        return self._derivative(t, 1)
 
     def d2(self, t):
+        return self._derivative(t, 2)
+
+    def _derivative(self, t, order: int):
+        """phi or its order-th derivative: the transitions 3 h(8(t - 1/4)) and
+        3 h(8(3/4 - t)), so the chain rule gives 8^order and, on the falling
+        one, the sign (-1)^order."""
         t = np.asarray(t, dtype=float)
-        if self.kind in ("zero", "constant"):
-            return np.zeros_like(t)
-        up = 64.0 * _glue_h_d2((t - 0.25) * 8.0)
-        down = 64.0 * _glue_h_d2((0.75 - t) * 8.0)
+        if self.kind != "paper_phi":
+            return np.full_like(t, self.max_value if order == 0 else 0.0)
+        up = 8.0**order * _glue((t - 0.25) * 8.0, order)
+        down = (-1) ** order * 8.0**order * _glue((0.75 - t) * 8.0, order)
         return _PHI_PLATEAU * np.where(t < 0.5, up, down)
 
 

@@ -51,13 +51,6 @@ def json_dumps(obj) -> str:
     return json.dumps(sanitize(obj), indent=2, sort_keys=True, allow_nan=True) + "\n"
 
 
-def write_json(path, obj) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json_dumps(obj))
-    return path
-
-
 def _cell(v) -> str:
     if isinstance(v, bool):
         return "1" if v else "0"
@@ -66,16 +59,6 @@ def _cell(v) -> str:
     if isinstance(v, (np.floating, np.integer)):
         return repr(v.item())
     return str(v)
-
-
-def write_tsv(path, header, rows) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    lines = ["\t".join(header)]
-    for row in rows:
-        lines.append("\t".join(_cell(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
-    return path
 
 
 def config_hash(config: dict) -> str:
@@ -111,10 +94,15 @@ class RunManifest:
             self.outputs.append(Path(p).relative_to(self.out).as_posix())
 
     def json(self, obj, suffix: str = ".json"):
-        self.add(write_json(self.path(suffix), obj))
+        path = self.path(suffix)
+        path.write_text(json_dumps(obj))
+        self.add(path)
 
     def tsv(self, header, rows):
-        self.add(write_tsv(self.path(".tsv"), header, rows))
+        lines = ["\t".join(header)] + ["\t".join(_cell(v) for v in row) for row in rows]
+        path = self.path(".tsv")
+        path.write_text("\n".join(lines) + "\n")
+        self.add(path)
 
     def check(self, ok: bool, check: str, detail: str):
         self.verdicts.append(f"{'PASS' if ok else 'FAIL'} {check}: {detail}")
@@ -131,7 +119,7 @@ class RunManifest:
     def write(self) -> Path:
         doc = {
             "subcommand": self.subcommand,
-            "config": sanitize(self.config),
+            "config": self.config,
             "seed": self.seed,
             "tool_version": TOOL_VERSION,
             "started": self.started,
@@ -142,7 +130,7 @@ class RunManifest:
                                        if k not in ("out", "stamp")}),
         }
         if self.stats is not None:
-            doc["stats"] = sanitize(self.stats)
+            doc["stats"] = self.stats
         path = self.out / f"manifest_{self.subcommand}_{self.seed}_{self.config['stamp']}.json"
-        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        path.write_text(json_dumps(doc))
         return path

@@ -396,6 +396,15 @@ def test_uneven_axes_stay_unfolded(case, folded):
     assert np.array_equal(traj.values, traj.orbits.unfold(loop))
 
 
+def test_a_stacked_potential_is_rejected():
+    # (2, 21) at d = 1, M = 10 has the window's trailing shape, but a stepper
+    # would read only its first slice and evolve as if V were 0 there
+    window = LatticeWindow(1, 10)
+    stacked = np.stack([np.zeros(window.shape), np.full(window.shape, 5.0)])
+    with pytest.raises(ValueError, match="potential shape"):
+        Potential(window, stacked)
+
+
 def test_anisotropic_datum_stays_on_the_reflection_quotient():
     # e^{-(j_1^2 + 2 j_2^2)} is even on both axes but not symmetric under the
     # swap, so only the reflections fold, bit for bit the reflection-only loop
