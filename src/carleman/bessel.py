@@ -18,6 +18,8 @@ from .logscalar import log_cosh, logsumexp
 from .quadrature import gauss_legendre
 
 _MAX_SERIES_TERMS = 400  # n + 2k cap; desk-scale arguments converge long before
+_K_NODES = 400  # Gauss-Legendre nodes of bessel_k's cutoff interval
+_COSH_NODES = 800  # and of weighted_cosh_integral's bracket around its peak
 
 
 def bessel_j(n: int, z: float) -> float:
@@ -51,7 +53,7 @@ def bessel_j(n: int, z: float) -> float:
     return sign * math.fsum(terms)
 
 
-def bessel_k(nu: float, x: float, n_nodes: int = 400) -> float:
+def bessel_k(nu: float, x: float) -> float:
     """log K_nu(x), K_nu(x) = int_0^inf e^{-x cosh t} cosh(nu t) dt, by
     log-domain quadrature.
 
@@ -72,12 +74,12 @@ def bessel_k(nu: float, x: float, n_nodes: int = 400) -> float:
     t_hi = max(t_peak + 1.0, 1.0)
     while float(log_f(np.array([t_hi]))[0]) > peak - 46.0:
         t_hi += 1.0
-    rule = gauss_legendre(n_nodes, 0.0, t_hi)
+    rule = gauss_legendre(_K_NODES, 0.0, t_hi)
     logs = log_f(rule.nodes) + np.log(rule.weights)
     return float(logsumexp(logs))
 
 
-def weighted_cosh_integral(j: float, mu: float, n_nodes: int = 800) -> float:
+def weighted_cosh_integral(j: float, mu: float) -> float:
     """log of int_R e^{j b - 2 cosh(b/mu) / e} db by direct log-domain
     quadrature.
 
@@ -101,6 +103,6 @@ def weighted_cosh_integral(j: float, mu: float, n_nodes: int = 800) -> float:
         lo -= mu
     while float(log_f(np.array([hi]))[0]) > peak - 46.0:
         hi += mu
-    rule = gauss_legendre(n_nodes, lo, hi)
+    rule = gauss_legendre(_COSH_NODES, lo, hi)
     logs = log_f(rule.nodes) + np.log(rule.weights)
     return float(logsumexp(logs))

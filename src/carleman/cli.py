@@ -74,6 +74,9 @@ def _parse_r_list(text: str) -> tuple:
         out = tuple(float(x) for x in text.split(","))
     if not out:
         raise ValueError("empty R list")
+    low = [R for R in out if not R > 1.0]
+    if low:  # every scan's alpha = c R log R, or c R phi(R), needs log R > 0
+        raise ConfigError(f"every R in --R-list must be > 1, got R = {low[0]:g}")
     return out
 
 

@@ -69,10 +69,12 @@ unfolded ones above, bit for bit.
 
 A Trajectory keeps the quotient's values, one per orbit (3.5 MB for 101
 nodes at d = 2, M = 64, against 27 MB unfolded), and the scans read them as
-they are.  They are unfolded through the orbit map only where a full-window
-array leaves the program: the trajectory files, one snapshot at a time, the
-log-convexity sweep, whose e^{2 beta.j} weights no symmetry keeps, and
-Trajectory.values.
+they are.  Trajectory.values is the one place they are unfolded through the
+orbit map: a read-only view that unfolds only the snapshots it is indexed
+with, so reading the last of those 101 allocates one 0.27 MB snapshot.  Two
+callers index it, where a full-window array leaves the program: the
+trajectory files and the log-convexity sweep, whose e^{2 beta.j} weights no
+symmetry keeps, each one snapshot at a time.
 
 What the quotient saves (alternating V, dt = 1e-2, bessel_like datum; medians
 on 2 vCPUs):
@@ -230,10 +232,10 @@ class Trajectory:
         return self.orbits.window
 
     @property
-    def values(self) -> np.ndarray:
-        """Every snapshot unfolded to the full window, (n_stored,
-        *window.shape): a new array on each read."""
-        return self.orbits.unfold(self.orbit_values)
+    def values(self) -> "Snapshots":
+        """The snapshots unfolded to the full window, as a read-only view
+        that unfolds only what it is indexed with (see Snapshots)."""
+        return Snapshots(self.orbits, self.orbit_values)
 
     @property
     def n_stored(self) -> int:
@@ -254,6 +256,47 @@ class Trajectory:
         return Trajectory(self.orbits, self.times, factor * self.orbit_values,
                           self.norm_logs + math.log(abs(factor)), self.config,
                           self.scale_log + math.log(abs(factor)), self.solver_stats)
+
+
+class Snapshots:
+    """Stacked orbit values read as the window's snapshots, (n_stored,
+    *window.shape), unfolded on demand.  ``view[key]`` means
+    ``np.asarray(view)[key]`` but unfolds only the snapshots that the first
+    index of key selects; each read is a new array."""
+
+    def __init__(self, orbits: SiteOrbits, orbit_values: np.ndarray):
+        self._orbits, self._orbit_values = orbits, orbit_values
+
+    def __len__(self) -> int:
+        return len(self._orbit_values)
+
+    @property
+    def shape(self) -> tuple:
+        return (len(self),) + self._orbits.window.shape
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    def __getitem__(self, key) -> np.ndarray:
+        key = key if isinstance(key, tuple) else (key,)
+        if not key or key[0] is Ellipsis or key[0] is None:
+            return np.asarray(self)[key]  # the first index is not on the snapshot axis
+        first, rest = key[0], key[1:]
+        if not rest:
+            return self._orbits.unfold(self._orbit_values[first])
+        if isinstance(first, slice):
+            return self._orbits.unfold(self._orbit_values[first])[(slice(None),) + rest]
+        # an integer or an index array: unfold the snapshots it picks, then index
+        # them with one of the same shape, so rest means what it means in numpy
+        picked = np.arange(len(self))[first]
+        local = np.arange(picked.size).reshape(picked.shape)
+        return self._orbits.unfold(self._orbit_values[picked.ravel()])[(local,) + rest]
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        if copy is False:
+            raise ValueError("unfolding the snapshots makes a new array: copy=False is impossible")
+        out = self._orbits.unfold(self._orbit_values)
+        return out if dtype is None else out.astype(dtype, copy=False)
 
 
 def _simpson_weights(n_nodes: int, h: float) -> np.ndarray:

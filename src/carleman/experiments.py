@@ -135,8 +135,8 @@ def log_convexity_check(traj: Trajectory, beta_list, cfg: ExperimentConfig) -> d
     at interior stored times, in the log domain; the empirical constant is
     C_emp = max log rho / L, which the two-endpoint bound keeps finite
     uniformly in beta.  No symmetry keeps e^{2 beta.j}, so the snapshots read
-    are unfolded to the full window."""
-    window, orbits = traj.window, traj.orbits
+    are unfolded to the full window, one at a time."""
+    window, snapshots = traj.window, traj.values
     idxs = _interior_indices(traj)
     betas = [np.atleast_1d(np.asarray(b, dtype=float)) for b in beta_list]
     betas = np.array(betas).reshape(len(betas), window.d)
@@ -145,8 +145,7 @@ def log_convexity_check(traj: Trajectory, beta_list, cfg: ExperimentConfig) -> d
     pick = tuple(inv for _, inv in per_axis)
 
     def log_sums(i):
-        full = orbits.unfold(traj.orbit_values[i])
-        return _directional_log_sums(log_abs_sq(full), window.axes, values)[pick]
+        return _directional_log_sums(log_abs_sq(snapshots[i]), window.axes, values)[pick]
 
     den = np.logaddexp(log_sums(0), log_sums(-1))
     log_rho = [log_sums(i) - den for i in idxs]

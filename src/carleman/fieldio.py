@@ -81,17 +81,16 @@ def read_field(path):
 
 
 def write_trajectory(directory, traj: Trajectory) -> list:
-    """One binary per snapshot, trajectory_<i>.bin, each unfolded from the
-    orbit values to the full window as it is written, plus
-    trajectory_manifest.json (dt, T, scheme, potential hash)."""
+    """One binary per snapshot, trajectory_<i>.bin, each unfolded to the full
+    window as it is written (traj.values[i]), plus trajectory_manifest.json
+    (dt, T, scheme, potential hash)."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     written = []
     files = []
-    for i in range(traj.n_stored):
+    for i, snapshot in enumerate(traj.values):
         p = directory / f"trajectory_{i:05d}.bin"
-        written += write_field(p, traj.orbits.unfold(traj.orbit_values[i]), traj.window,
-                               metadata={"t": float(traj.times[i])})
+        written += write_field(p, snapshot, traj.window, metadata={"t": float(traj.times[i])})
         files.append(p.name)
     manifest = {
         "format": "carleman-trajectory",

@@ -167,7 +167,9 @@ class SiteOrbits:
     def log_mass(self, orbit_values: np.ndarray) -> np.ndarray:
         """log of each orbit's ell^2 mass, log|u_rep|^2 + log(orbit size),
         from values given one per orbit along the last axis."""
-        return log_abs_sq(orbit_values) + np.log(self.sizes)
+        out = log_abs_sq(orbit_values)
+        out += np.log(self.sizes)
+        return out
 
 
 @dataclass(frozen=True)
@@ -300,9 +302,10 @@ def ring_masses(u, R_list, time_weights: np.ndarray | None = None) -> list:
         if time_weights is None:
             raise ValueError("space-time ring masses need time integration weights")
         orbits = u.orbits
+        log_mass = orbits.log_mass(u.orbit_values)
         with np.errstate(divide="ignore"):
-            log_tw = np.log(time_weights)[:, None]
-        log_mass = logsumexp(orbits.log_mass(u.orbit_values) + log_tw, axis=0)
+            log_mass += np.log(time_weights)[:, None]
+        log_mass = logsumexp(log_mass, axis=0)
     r_sq, bin_logs = radial_log_sums(orbits, log_mass)
     out = []
     for R in R_list:

@@ -24,16 +24,22 @@ def logsumexp(x: np.ndarray, axis: int = -1) -> np.ndarray:
     -inf where every term is -inf."""
     top = np.max(x, axis=axis, keepdims=True)
     shift = np.where(np.isfinite(top), top, 0.0)
+    terms = x - shift  # the one x-sized temporary: exp overwrites it
+    np.exp(terms, out=terms)
     with np.errstate(divide="ignore"):
-        out = shift + np.log(np.sum(np.exp(x - shift), axis=axis, keepdims=True))
+        out = shift + np.log(np.sum(terms, axis=axis, keepdims=True))
     return np.squeeze(out, axis=axis)
 
 
 def log_abs_sq(values: np.ndarray) -> np.ndarray:
     """log |v|^2 per entry as 2 log |v|, so magnitudes whose squares would
     underflow keep their digits; -inf for exact zeros."""
+    mag = np.abs(values)
+    own = isinstance(mag, np.ndarray) and mag.dtype.kind == "f"  # not a scalar or integers
     with np.errstate(divide="ignore"):
-        return 2.0 * np.log(np.abs(values))
+        out = np.log(mag, out=mag if own else None)
+    out *= 2.0
+    return out
 
 
 def log_sinh(x):

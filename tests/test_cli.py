@@ -177,6 +177,17 @@ def test_bad_flag_value_exits_2(argv, tmp_path, capsys):
     assert main([*argv, "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("argv, R", [(["hiding-scan", "--R-list", "1"], "1"),
+                                     (["hiding-scan", "--R-list", "-5"], "-5"),
+                                     (["threshold-scan", "--R-list", "100,0.5"], "0.5"),
+                                     (["lambda-scan", "--R-list", "1..3"], "1")])
+def test_an_r_of_at_most_one_exits_2_naming_it(argv, R, tmp_path, capsys):
+    # alpha = c R log R needs R > 1; these used to reach log_sinh or math.log
+    assert main([*argv, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"config error: every R in --R-list must be > 1, got R = {R}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_counterexample_literal_mode_exits_1(tmp_path, capsys):
     code = main(["counterexample", "--R", "8", "--margin", "8", "--mode", "literal_paper",
                  "--out", str(tmp_path), "--stamp", "pinned"])

@@ -187,7 +187,7 @@ def test_observation_normalization():
     scaled = normalize_observation(traj)
     assert observation_integral(scaled) == pytest.approx(1.0, rel=1e-12)
     again = normalize_observation(scaled)
-    assert np.max(np.abs(again.values - scaled.values)) < 1e-12
+    assert np.max(np.abs(np.asarray(again.values) - np.asarray(scaled.values))) < 1e-12
 
 
 def test_observation_scaling_homogeneity():
@@ -236,7 +236,7 @@ def test_tail_matches_dense_solve_oracle():
     traj = evolve(LatticeField.delta(window), cfg)
     oracle = dense_cn_oracle(LatticeField.delta(window), cfg)
     assert np.min(np.abs(oracle[oracle != 0])) < 1e-26
-    assert max_log_deviation(traj.values, oracle) < 1e-10
+    assert max_log_deviation(np.asarray(traj.values), oracle) < 1e-10
 
 
 def test_off_centre_delta_folds_one_axis_and_matches_dense_oracle():
@@ -248,7 +248,7 @@ def test_off_centre_delta_folds_one_axis_and_matches_dense_oracle():
     assert traj.solver_stats["folded_axes"] == [1]
     oracle = dense_cn_oracle(u0, cfg)
     assert np.min(np.abs(oracle[oracle != 0])) < 1e-26
-    assert max_log_deviation(traj.values, oracle) < 1e-10
+    assert max_log_deviation(np.asarray(traj.values), oracle) < 1e-10
 
 
 def test_bessel_like_d2_matches_dense_oracle():
@@ -266,7 +266,7 @@ def test_bessel_like_d2_matches_dense_oracle():
     assert traj.solver_stats["swapped_axes"] == [[0, 1]]
     oracle = dense_cn_oracle(u0, cfg)
     assert np.min(np.abs(oracle[oracle != 0])) < 1e-30
-    assert max_log_deviation(traj.values, oracle) <= 1e-9
+    assert max_log_deviation(np.asarray(traj.values), oracle) <= 1e-9
 
 
 def test_refinement_solves_counted_then_bounded():
@@ -335,7 +335,7 @@ def test_d1_blocks_match_dense_solve_oracle():
     oracle = dense_cn_oracle(LatticeField.delta(window), cfg)
     assert traj.n_stored == len(oracle) == 4
     assert np.min(np.abs(oracle[oracle != 0])) < 1e-50
-    assert max_log_deviation(traj.values, oracle) <= 1e-10
+    assert max_log_deviation(np.asarray(traj.values), oracle) <= 1e-10
 
 
 def per_step_loop(u0, cfg, orbits):
@@ -446,7 +446,7 @@ def test_swap_quotient_matches_reflection_and_unfolded_loops(d, M, datum):
     bound = SWAP_QUOTIENT_BOUNDS[(d, datum[0])]
     for orbits in (SiteOrbits(window, tuple(range(d))), SiteOrbits(window)):
         loop = orbits.unfold(per_step_loop(u0, cfg, orbits))
-        assert max_log_deviation(traj.values, loop) <= bound
+        assert max_log_deviation(np.asarray(traj.values), loop) <= bound
 
 
 def symmetrized(vals, orbits):
@@ -593,3 +593,52 @@ def test_d2_evolution_and_scans_use_about_one_core():
     result = subprocess.run([sys.executable, "-c", _CPU_PROBE], env=env, capture_output=True,
                             text=True, timeout=120, check=True)
     assert float(result.stdout) < 1.3
+
+
+@pytest.mark.parametrize("d, M", [(1, 10), (2, 8), (3, 5)])
+def test_values_view_unfolds_what_it_indexes_bit_for_bit(d, M):
+    window = LatticeWindow(d, M)
+    cfg = EvolutionConfig(dt=1e-2, T=0.1, window=window, potential=Potential.alternating(window),
+                          store_every=2)
+    traj = evolve(make_decaying_datum(window, ("bessel_like", 1.0)), cfg)
+    assert traj.orbits.trivial == (d == 1)
+    full = traj.orbits.unfold(traj.orbit_values)
+    view = traj.values
+    assert len(view) == traj.n_stored == 6
+    assert view.shape == full.shape == (6,) + window.shape
+    assert np.array_equal(np.asarray(view), full)
+    for got, want in itertools.zip_longest(view, full):
+        assert np.array_equal(got, want)
+    mid = (M,) * d  # the site j = 0
+    for key in [0, 3, -1, -6, np.int64(2), slice(None), slice(1, 5), slice(None, None, -2),
+                [0, 5, 2, 2], np.array([[1, 0], [4, 4]]), np.arange(6) % 2 == 0,
+                (2, *mid), (-1, slice(2, None)), (slice(0, 4, 3), 0),
+                ([1, 3], slice(None), *mid[1:]), (1, ..., 0), (..., 0), (None, 2), ()]:
+        assert np.array_equal(view[key], full[key]), key
+    with pytest.raises(IndexError):
+        view[6]
+
+
+def test_values_view_refuses_a_copy_free_array():
+    window, cfg = free_config(M=6, dt=1e-2, d=2)
+    view = evolve(LatticeField.delta(window), cfg).values
+    assert np.array(view, copy=True).shape == view.shape
+    with pytest.raises(ValueError):
+        np.asarray(view, copy=False)
+
+
+def test_reading_one_snapshot_allocates_one_snapshot():
+    # d = 2, M = 64, 101 stored nodes: all of them unfolded are 26.9 MB
+    import tracemalloc
+
+    window, cfg = free_config(M=64, dt=1e-2, d=2)
+    traj = evolve(LatticeField.delta(window), cfg)
+    assert traj.n_stored == 101
+    tracemalloc.start()
+    try:
+        last = traj.values[-1]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(last, traj.orbits.unfold(traj.orbit_values[-1]))
+    assert peak <= 2 * window.site_count * 16

@@ -9,7 +9,7 @@ from carleman.errors import RingOutsideWindowError
 from carleman.lattice import (LatticeField, LatticeWindow, Potential, SiteOrbits,
                               boundary_mass_fraction, discrete_laplacian, mass_sq,
                               ring_masses, weighted_log_norm)
-from carleman.logscalar import NEG_INF
+from carleman.logscalar import NEG_INF, log_abs_sq
 
 
 def random_field(window, seed=0):
@@ -186,3 +186,14 @@ def test_potential_sup_norm_exact():
     # the alternating potential's sup norm is exactly |amplitude|
     w = LatticeWindow(1, 4)
     assert np.max(np.abs(Potential.alternating(w, amplitude=-1.5).values)) == 1.5
+
+
+def test_log_mass_leaves_the_orbit_values_alone():
+    orbits = SiteOrbits(LatticeWindow(2, 6), (0, 1), ((0, 1),))
+    rng = np.random.default_rng(4)
+    vals = rng.standard_normal((3, orbits.count)) + 1j * rng.standard_normal((3, orbits.count))
+    vals[0, :5] = 0.0
+    before = vals.copy()
+    out = orbits.log_mass(vals)
+    assert np.array_equal(vals, before)
+    assert np.array_equal(out, log_abs_sq(before) + np.log(orbits.sizes))

@@ -85,3 +85,17 @@ def test_log_sinh_and_log_cosh_of_scalars_are_floats():
 def test_log_sinh_rejects_nonpositive_arguments(x):
     with pytest.raises(ValueError, match="x > 0"):
         log_sinh(x)
+
+
+def test_logsumexp_and_log_abs_sq_leave_their_input_alone():
+    # both work in a temporary of their own, in place
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(4, 33)) * 40
+    x[1] = NEG_INF
+    x[2, ::4] = NEG_INF
+    before = x.copy()
+    logsumexp(x)
+    logsumexp(x, axis=0)
+    log_abs_sq(x)
+    assert np.array_equal(x, before)
+    assert isinstance(log_abs_sq(1e-200), float)
