@@ -29,6 +29,13 @@ record of the run: it names, writes and lists the outputs, holds the CN
 solver stats, norm drift and boundary mass of the evolving subcommands, and
 collects the verdicts, which go to stdout and into the manifest.  report
 prints each manifest's verdicts and whether its outputs exist.
+
+Start-up: importing this module loads the standard library modules the
+parser needs and carleman.errors, not numpy, scipy or a compute module, so
+--help, a usage error and a config error exit before any of them loads.
+Each body imports the modules it runs at its top (potential-scan loads
+counterexample, threshold-scan operators, evolve evolution and fieldio), and
+main imports RunManifest once the parameters have resolved.
 """
 
 from __future__ import annotations
@@ -41,27 +48,20 @@ from datetime import datetime, timezone
 from pathlib import Path
 from types import SimpleNamespace
 
-import numpy as np
-
-from . import counterexample as ce
-from . import experiments as xp
 from .errors import (CarlemanError, ConfigError, ExactRangeError, NonFiniteError,
                      SolverDivergenceError, ToleranceExceededError)
-from .evolution import (EvolutionConfig, Trajectory, evolve, make_decaying_datum,
-                        normalize_observation)
-from .fieldio import read_field, write_field, write_trajectory
-from .lattice import LatticeField, LatticeWindow, Potential
-from .operators import (carleman_constant_batch, commutator_check,
-                        conjugation_check, minimal_hiding_constant,
-                        hiding_sides, phi_rate_scan, symmetry_check)
-from .profiles import TimeProfile, WeightSpec
-from .reports import RunManifest
 
+# --phi name -> the profile it names, built from the TimeProfile class
 _PROFILES = {
-    "paper": TimeProfile.paper,
-    "zero": TimeProfile.zero,
-    "const3": lambda: TimeProfile.constant(3.0),
+    "paper": lambda cls: cls.paper(),
+    "zero": lambda cls: cls.zero(),
+    "const3": lambda cls: cls.constant(3.0),
 }
+
+
+def _profile(name: str):
+    from .profiles import TimeProfile
+    return _PROFILES[name](TimeProfile)
 
 
 def _parse_r_list(text: str) -> tuple:
@@ -77,6 +77,14 @@ def _parse_r_list(text: str) -> tuple:
     low = [R for R in out if not R > 1.0]
     if low:  # every scan's alpha = c R log R, or c R phi(R), needs log R > 0
         raise ConfigError(f"every R in --R-list must be > 1, got R = {low[0]:g}")
+    return out
+
+
+def _parse_integer_r_list(text: str) -> tuple:
+    out = _parse_r_list(text)
+    odd = [R for R in out if not R.is_integer()]
+    if odd:  # the counterexample's diamond radius is an integer
+        raise ConfigError(f"every R in --R-list must be an integer, got R = {odd[0]:g}")
     return out
 
 
@@ -141,9 +149,12 @@ _DATUM = {"datum": ("delta", _choice("delta", "bessel_like", "gaussian"), "initi
           "mu": (1.0, float, "decay rate of the bessel_like or gaussian datum")}
 
 
-def _evolved(p, datum: tuple, run: RunManifest) -> Trajectory:
-    """The datum evolved under the _evolution_params values; run.stats gets
-    the CN solver stats, the norm drift and the boundary mass with its flag."""
+def _evolved(p, datum: tuple, run):
+    """The Trajectory of the datum evolved under the _evolution_params values;
+    run.stats gets the CN solver stats, the norm drift and the boundary mass
+    with its flag."""
+    from .evolution import EvolutionConfig, evolve, make_decaying_datum
+    from .lattice import LatticeWindow, Potential
     if p.L < 0:
         raise ValueError("A and L must be nonnegative")
     window = LatticeWindow(p.d, p.M)
@@ -160,10 +171,12 @@ def _evolved(p, datum: tuple, run: RunManifest) -> Trajectory:
 
 # --- subcommand bodies ------------------------------------------------------
 # Each takes the resolved parameters p (attributes named as in its table) and
-# the run manifest, which writes and lists its outputs and collects verdicts.
+# the run manifest, which writes and lists its outputs and collects verdicts,
+# and imports the modules it runs at its top.
 
 
-def _run_evolve(p, run: RunManifest) -> None:
+def _run_evolve(p, run) -> None:
+    from .fieldio import write_trajectory
     traj = _evolved(p, (p.datum, p.mu), run)
     run.add(*write_trajectory(run.path(), traj))
     drift = run.stats["norm_drift"]
@@ -171,8 +184,11 @@ def _run_evolve(p, run: RunManifest) -> None:
               f"max drift {drift:.3e} over {traj.config.n_steps} steps")
 
 
-def _run_carleman_check(p, run: RunManifest) -> None:
-    spec = WeightSpec(alpha=p.alpha, R=p.R, phi=_PROFILES[p.phi](), d=p.d)
+def _run_carleman_check(p, run) -> None:
+    from .lattice import LatticeWindow
+    from .operators import carleman_constant_batch
+    from .profiles import WeightSpec
+    spec = WeightSpec(alpha=p.alpha, R=p.R, phi=_profile(p.phi), d=p.d)
     window = LatticeWindow(p.d, p.M)
     cal = carleman_constant_batch(spec, window, p.trials, p.seed)
     held = carleman_constant_batch(spec, window, p.trials, p.seed + 1)
@@ -187,9 +203,12 @@ def _run_carleman_check(p, run: RunManifest) -> None:
               f"({violations} violations)")
 
 
-def _run_commutator_check(p, run: RunManifest) -> None:
+def _run_commutator_check(p, run) -> None:
+    from .lattice import LatticeWindow
+    from .operators import commutator_check, conjugation_check, symmetry_check
+    from .profiles import WeightSpec
     tol = p.tolerance
-    spec = WeightSpec.from_rule(p.R, _PROFILES[p.phi](), p.d, c_rule=p.c)
+    spec = WeightSpec.from_rule(p.R, _profile(p.phi), p.d, c_rule=p.c)
     window = LatticeWindow(p.d, p.M)
     report = {}
     try:
@@ -211,8 +230,11 @@ def _run_commutator_check(p, run: RunManifest) -> None:
     run.json(report)
 
 
-def _run_hiding_scan(p, run: RunManifest) -> None:
-    phi = _PROFILES[p.phi]()
+def _run_hiding_scan(p, run) -> None:
+    import numpy as np
+
+    from .operators import hiding_sides, minimal_hiding_constant
+    phi = _profile(p.phi)
     s_grid = np.linspace(1.0, p.s_max, p.grid_points)
     rows = []
     min_cs = []
@@ -246,7 +268,11 @@ def _run_hiding_scan(p, run: RunManifest) -> None:
                   f"{detail} (nonincreasing: {nonincreasing})")
 
 
-def _run_lambda_scan(p, run: RunManifest) -> None:
+def _run_lambda_scan(p, run) -> None:
+    from . import experiments as xp
+    from .evolution import normalize_observation
+    from .fieldio import read_field
+    from .lattice import LatticeField
     cfg = xp.ExperimentConfig(A=p.A, L=p.L, R_list=p.R_list, c_rule=p.c)
     if p.field_from:
         values, window, _ = read_field(p.field_from)
@@ -269,7 +295,8 @@ def _run_lambda_scan(p, run: RunManifest) -> None:
                     f"best decay model {scan['best_model']} (RMS log-residuals: {residuals})")
 
 
-def _run_logconvexity(p, run: RunManifest) -> None:
+def _run_logconvexity(p, run) -> None:
+    from . import experiments as xp
     traj = _evolved(p, ("delta",), run)
     cfg = xp.ExperimentConfig(L=p.L)
     check = xp.log_convexity_check(traj, xp.beta_grid(p.beta_max, p.d), cfg)
@@ -291,7 +318,8 @@ def _run_logconvexity(p, run: RunManifest) -> None:
     run.json(report)
 
 
-def _run_normstar(p, run: RunManifest) -> None:
+def _run_normstar(p, run) -> None:
+    from . import experiments as xp
     report = xp.norm_star_equivalence(p.d, p.j_max)
     run.json(report)
     run.check(math.isfinite(report["c_d"]) and report["inf_ratio"] > 0, "normstar",
@@ -299,7 +327,8 @@ def _run_normstar(p, run: RunManifest) -> None:
               f"c_d {report['c_d']:.6f}")
 
 
-def _run_kbessel(p, run: RunManifest) -> None:
+def _run_kbessel(p, run) -> None:
+    from . import experiments as xp
     report = xp.k_bessel_weight_check(p.mu, (5, 10, 20), growth_j=range(20, 201, 10))
     run.json(report)
     run.check(report["max_defect"] < p.tolerance["kbessel"]
@@ -308,7 +337,8 @@ def _run_kbessel(p, run: RunManifest) -> None:
               f"growth exponent {report['growth_exponent']:.4f} (target {p.mu})")
 
 
-def _run_threshold_scan(p, run: RunManifest) -> None:
+def _run_threshold_scan(p, run) -> None:
+    from .operators import phi_rate_scan
     rows = []
     summary = {}
     for name in ("sqrt_log", "log"):
@@ -329,7 +359,9 @@ def _run_threshold_scan(p, run: RunManifest) -> None:
                 f"log holds from R={summary['log']['first_R_holding']}")
 
 
-def _run_counterexample(p, run: RunManifest) -> None:
+def _run_counterexample(p, run) -> None:
+    from . import counterexample as ce
+    from .fieldio import write_field
     R, margin, mode = p.R, p.margin, p.mode
     spec = ce.CounterexampleSpec(R=R, margin=margin, value_mode=mode)
     u, V = ce.build_counterexample(spec)
@@ -358,7 +390,11 @@ def _run_counterexample(p, run: RunManifest) -> None:
     run.check(report["pass"], "counterexample", detail)
 
 
-def _run_verify_counterexample(p, run: RunManifest) -> None:
+def _run_verify_counterexample(p, run) -> None:
+    import numpy as np
+
+    from . import counterexample as ce
+    from .fieldio import read_field
     values, window, meta = read_field(p.field_from)
     if not (isinstance(meta, dict) and meta.get("kind") == "counterexample" and "mode" in meta
             and all(isinstance(meta.get(k), int) for k in ("R", "margin"))):
@@ -374,7 +410,8 @@ def _run_verify_counterexample(p, run: RunManifest) -> None:
               f"file matches rebuild: {file_matches}")
 
 
-def _run_potential_scan(p, run: RunManifest) -> None:
+def _run_potential_scan(p, run) -> None:
+    from . import counterexample as ce
     report = ce.potential_bound_scan([int(r) for r in p.R_list], margin=p.margin,
                                      value_mode=p.mode)
     run.json(report)
@@ -386,7 +423,7 @@ def _run_potential_scan(p, run: RunManifest) -> None:
                   f"{sup}, exact-equal across R: {report['identical_across_R']}")
 
 
-def _run_report(p, run: RunManifest) -> None:
+def _run_report(p, run) -> None:
     listing, missing = [], 0
     for path in sorted(run.out.glob("manifest_*.json")):
         doc = json.loads(path.read_text())
@@ -475,7 +512,8 @@ _SUBCOMMANDS = {
                               _run_verify_counterexample),
     "potential-scan": (
         "exact sup|V| across R",
-        {**_RUN, "R_list": ((10.0, 20.0, 40.0), _parse_r_list, "comma list or lo..hi[..step]"),
+        {**_RUN, "R_list": ((10.0, 20.0, 40.0), _parse_integer_r_list,
+                            "comma list or lo..hi[..step]"),
          "margin": (None, int, "window margin for every R (None: max(60,R) per R)"),
          "mode": ("repaired", _choice("repaired", "literal_paper"), "value mode")}, {},
         _run_potential_scan),
@@ -591,6 +629,7 @@ def main(argv=None) -> int:
     subcommand = args.pop("subcommand")
     try:
         params = _resolve(subcommand, args)
+        from .reports import RunManifest
         run = RunManifest(subcommand, params)
         run.out.mkdir(parents=True, exist_ok=True)
         _SUBCOMMANDS[subcommand][-1](SimpleNamespace(**params), run)

@@ -188,6 +188,15 @@ def test_an_r_of_at_most_one_exits_2_naming_it(argv, R, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("r_list, R", [("8.5", "8.5"), ("8,10,12.25", "12.25"), ("inf", "inf")])
+def test_a_non_integer_r_in_potential_scan_exits_2_naming_it(r_list, R, tmp_path, capsys):
+    # the diamond radius is an integer; 8.5 used to run as R = 8 and exit 0
+    assert main(["potential-scan", "--R-list", r_list, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: every R in --R-list must be an integer, got R = {R}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_counterexample_literal_mode_exits_1(tmp_path, capsys):
     code = main(["counterexample", "--R", "8", "--margin", "8", "--mode", "literal_paper",
                  "--out", str(tmp_path), "--stamp", "pinned"])
@@ -548,17 +557,50 @@ def test_malformed_input_file_exits_2_without_traceback(subcommand, make_input, 
     assert len(err) == 1 and err[0].startswith(("config error: ", "error: "))
 
 
-def test_import_cli_leaves_scipy_unimported():
-    # scipy is imported when a stepper is built, not by the subcommands that
-    # never evolve
+def _fresh(probe: str, *argv: str, timeout: float = 60) -> str:
+    """The last stdout line of probe, run with argv in a fresh interpreter
+    that imports carleman from this checkout."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    result = subprocess.run([sys.executable, "-c", probe, *argv], env=env,
+                            capture_output=True, text=True, timeout=timeout, check=True)
+    return result.stdout.splitlines()[-1]
+
+
+# One CLI run in a fresh interpreter: its exit code, then the numpy, scipy and
+# carleman modules it imported.
+_IMPORTS_PROBE = """
+import sys
+from carleman.cli import main
+code = main(sys.argv[1:])
+print(code, *sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy", "carleman")))
+"""
+
+
+def test_import_cli_leaves_scipy_unimported():
+    # importing the CLI loads the parser and the exception types; numpy, scipy
+    # and the compute modules load in the body of the subcommand that runs
     probe = ("import sys, carleman.cli; "
-             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                            text=True, timeout=60, check=True)
-    assert result.stdout.strip() == "[]"
+             "print(*sorted(m for m in sys.modules "
+             "if m.split('.')[0] in ('numpy', 'scipy', 'carleman')))")
+    assert _fresh(probe).split() == ["carleman", "carleman.cli", "carleman.errors"]
+
+
+@pytest.mark.parametrize("argv, code", [(["--help"], 0), (["lambda-scan", "--help"], 0),
+                                        (["potential-scan", "--R-list", "28..8"], 2)])
+def test_help_and_config_errors_exit_without_numpy(argv, code):
+    assert _fresh(_IMPORTS_PROBE, *argv).split() == [
+        str(code), "carleman", "carleman.cli", "carleman.errors"]
+
+
+def test_potential_scan_imports_counterexample_only(tmp_path):
+    code, *modules = _fresh(_IMPORTS_PROBE, "potential-scan", "--R-list", "8,9",
+                            "--margin", "9", "--out", str(tmp_path)).split()
+    assert code == "0"
+    assert {"numpy", "carleman.counterexample", "carleman.reports"} <= set(modules)
+    assert not {"carleman.evolution", "carleman.operators", "carleman.experiments"} & set(modules)
+    assert not [m for m in modules if m.split(".")[0] == "scipy"]
 
 
 # In-process peak RSS of one CLI run, in MB (ru_maxrss is in kB on Linux).
@@ -575,13 +617,8 @@ def test_d3_lambda_scan_holds_orbit_values_only(tmp_path):
     # 21 stored nodes at d = 3, M = 32: 2.2 MB of orbit values (6545 orbits)
     # against 92 MB unfolded to the window.  Measured peak: 94 MB holding orbit
     # values, 266 MB holding every node unfolded (2 vCPUs, numpy + scipy loaded)
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
     argv = ["lambda-scan", "--d", "3", "--M", "32", "--dt", "0.01", "--R-list", "8..20",
             "--out", str(tmp_path), "--stamp", "pinned"]
-    result = subprocess.run([sys.executable, "-c", _RSS_PROBE, *argv], env=env,
-                            capture_output=True, text=True, timeout=120, check=True)
-    code, peak_mb = result.stdout.splitlines()[-1].split()  # after the verdict lines
+    code, peak_mb = _fresh(_RSS_PROBE, *argv, timeout=120).split()  # after the verdict lines
     assert code == "0"
     assert float(peak_mb) < 150.0
