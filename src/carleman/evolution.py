@@ -4,49 +4,57 @@ Trapezoidal (Crank-Nicolson) stepping: exactly unitary for Hermitian
 H = Delta_d + V, which the log-convexity experiments rely on.  One step
 solves A u' = B u with A = I - i dt/2 H and B = I + i dt/2 H = 2I - A, so
 the right-hand side is B u = 2u - A u and B is never built.  A is sparse
-with a symmetric pattern (2d+1 nonzeros per row), so it is factored once
-with a minimum-degree ordering of A^T + A, which keeps the LU fill about
-half of scipy's default column ordering at d = 2.  Each step is one reuse
-of that factor checked by a verified residual contract (relative residual
-at most 1e-12, with up to three refinement solves before
+with a symmetric pattern (2d+1 nonzeros per row).  At d >= 2 it is factored
+once with a minimum-degree ordering of A^T + A, which keeps the LU fill about
+half of scipy's default column ordering at d = 2; at d = 1 it is a band
+matrix, factored in its natural order (below).  Each step is one reuse of
+that factor checked by a verified residual contract (relative residual at
+most 1e-12, with up to three refinement solves before
 SolverDivergenceError); the product A u' the check computes is the next
 step's A u, so a step costs one solve and one sparse matvec.
 
 Blocks of steps.  A and B are both polynomials in H, so they commute, and k
-CN steps are exactly u -> (A^k)^{-1} B^k u.  ``evolve`` advances a block of
-up to 16 steps per solve at d = 1, where one step on a few hundred sites
-costs call overhead rather than arithmetic: at M = 128 one solve with the
+CN steps are exactly u -> (A^k)^{-1} B^k u.  At d = 1, where one step on a
+few hundred sites costs call overhead rather than arithmetic, ``evolve``
+advances a block of up to 16 steps per solve: at M = 128 one solve with the
 banded factor of A^16 (bandwidth 16) costs about two solves with that of A
-(34 and 14 us on a vector of normal values) and advances 16 steps.  A block is one
-matvec for B^k u, one solve and the same residual contract on the block
-system.  Blocks never cross a stored node, and ``evolve`` factors each
-block length it needs once, before the first step.  At d >= 2 the block is one
-step, the carried-A u step above, because the LU fill of A^k grows faster
-than k there (d = 2, M = 24: 67 k, 211 k and 571 k nonzeros at k = 1, 2, 4;
-at M = 64, k = 2 ran 1.7x slower than k = 1).
+(34 and 14 us on a vector of normal values) and advances 16 steps.  A block
+is one matvec for B^k u, one solve and the same residual contract on the
+block system.  Blocks never cross a stored node, and the block lengths ramp
+up from one step: the i-th block of a run takes at most min(2^(i // 4), 16)
+steps, so four blocks of one step come first, then four each of two, four
+and eight steps (60 steps in all), then blocks of 16.  One PowerChain builds
+A^k and B^k for every block length from a single chain of squares (A^2, A^4,
+A^8, A^16) shared by the run's steppers, and each length is factored once,
+before the first step.  At d >= 2 the block is one step, the carried-A u
+step above, because the LU fill of A^k grows faster than k there (d = 2,
+M = 24: 67 k, 211 k and 571 k nonzeros at k = 1, 2, 4; at M = 64, k = 2 ran
+1.7x slower than k = 1).
 
-What blocks cost is relative accuracy far out in the tail of the first
-blocks from a compact datum.  There a block's values come out of an order-k
-recurrence in the triangular solves, which the rounding of A^k's entries
-perturbs; refinement does not mend it.  Against the CN recurrence in 40-digit
-arithmetic (d = 1, M = 48, dt = 1e-3, delta datum, blocks of 10 steps), max
-|d log|u|| is 1.6e-8 at |u| = 1.4e-146 after the first block (one step per
-solve: 3.5e-13); it is 1.4e-13 by the tenth block and below 1.5e-14 at every
-site of the final snapshot.  With blocks of 16 at dt = 1e-2 and an
-alternating potential, a dense-solve oracle sees 7.1e-12 (M = 34) and
-5.3e-10 (M = 50), but that oracle is accurate only relative to the norm, so
-it cannot see the deep tail.  CN single steps in 60-digit mpmath (delta
-datum, sites with |u| > 1e-300) find the first 16-step block losing up to
-5.1e-4 at M = 128, dt = 1e-4, free, and 2.7e-3 at M = 80, dt = 1e-2,
-alternating V (4.5e-7 and 1.7e-6 after the second block; single steps stay
-within 5.7e-14).  Choosing the block lengths so the deep tail keeps its
-digits is open (ROADMAP.md, P0); reports at the CLI defaults are not affected.
+Why the ramp.  A block's values come out of an order-k recurrence in the
+triangular solves, which the rounding of A^k's entries perturbs; refinement
+does not mend it.  That costs relative accuracy far out in the tail while
+the field is still close to a compact datum, whose tail falls off steeply
+from site to site.  Against CN single steps in 60-digit mpmath (delta datum,
+every site with |u| > 1e-300, stored every 16th step), max |d log|u|| over
+the nodes up to step 160:
+
+    case                        16 from step 1   ramp 1, 2, 4, 8   4 blocks each
+    M = 128, dt = 1e-4, free        6.7e-5           2.8e-7           6.6e-11
+    M = 80, dt = 1e-2, alt. V       8.2e-5           1.3e-7           1.8e-11
+    M = 48, dt = 1e-3, alt. V       5.2e-8           6.8e-10          3.4e-13
+
+Single steps stay within 1.1e-13.  The worst node is where the first block
+of 16 ends, at step 32 after the ramp of one block each and at step 80 after
+four blocks each, when the tail has spread.  The longer ramp costs 12 more
+solves, about 0.5 ms of the 30-40 ms a 10^4-step run at M = 128 takes, which
+timings on a shared 2-vCPU host do not resolve.
 
 The symmetry quotient.  The data the lower bound is tested on (delta,
 Gaussian, e^{-mu |j| log(|j|+1)}) and the zero and alternating potentials are
 invariant under every reflection j_k -> -j_k and every swap j_k <-> j_l of
 two axes, and CN keeps every symmetry that the datum and the potential share.
-So at d >= 2 ``evolve`` takes the group generated by the reflections of the
+So ``evolve`` takes the group generated by the reflections of the
 axes on which both are exactly even and the swaps of the pairs of those axes
 on which both are exactly symmetric, and steps on its quotient
 (lattice.SiteOrbits): one unknown per orbit, held at its representative,
@@ -105,18 +113,39 @@ arithmetic, the reflection-only stepper is off by 1.8e-8 and the unfolded one
 by 6.3e-8 at t = 1 (ROADMAP.md, Direction 1, "If measurement rejects this
 direction").
 
-At d = 1 ``evolve`` steps on the trivial group.  The minimum-degree ordering of
-the folded A^k is not the natural one, and it costs relative accuracy deep in
-the tail of a first block: against a dense-solve oracle (M = 34, dt = 1e-3,
-alternating V, delta datum) max |d log|u|| after one block rises from 2.6e-10
-to 2.4e-9 with 10 steps and from 7.4e-9 to 1.3e-7 with 16, while the fold
-saves only about 10 % of the d = 1 evolve time (M = 128, 10^4 steps: 73
-against 80 ms).
+At d = 1 the fold leaves the sites j >= 0, 129 unknowns of the 257 at
+M = 128, and A_q is tridiagonal (its row 0 holds twice A's off-diagonal
+entry), so A_q^k is a band matrix of bandwidth k.  Its natural order factors
+it without fill.  A minimum-degree order of the folded band is not the
+natural one, and it costs relative accuracy deep in the tail of the first
+blocks: with blocks of 16 from the first step, against the mpmath single
+steps above, it lost 8.8e-2 at M = 80 and 3.1e-4 at M = 128, against 8.2e-5
+and 6.7e-5 in the natural order; after the ramp of one block each, 4.9e-7
+and 8.2e-6 against 1.3e-7 and 2.8e-7.
+
+The power-of-two carry.  ``evolve`` steps on 2^n u, with n chosen so that
+the datum's orbit-weighted ell^2 norm lies in [2^499, 2^500), and stores
+2^-n times the carried values at each node; norm_logs come from the stored
+values.  Both scalings are exact unless a value leaves the normal range.
+CN is unitary, so no sum of squares the residual contract forms passes
+about 2^1001, while the tail keeps 500 more binary orders above the
+subnormal range.  From a compact datum the unscaled tail does reach that
+range, and each product of it with the small far off-diagonal entries of
+A^k and B^k then costs many times a normal one: at d = 1, M = 128,
+dt = 1e-4 (free), the median of the first 150 blocks of 16 steps took
+110-158 us unscaled and 44-79 us carried, against 44-75 us for later blocks
+(5 runs on 2 shared vCPUs), and the final snapshots were identical.  Wherever the unscaled steps meet no
+subnormal value, the carried steps are bit for bit the same: at d = 2 the
+stored values, norm logs and solver stats of M = 64 and M = 24 runs are
+identical, and a datum 2^600 or 2^-600 times another evolves to exactly
+2^600 or 2^-600 times its values.
 
 Lattice sums avoid BLAS.  Every squared norm of a lattice-sized vector here
-(the stored norm_logs, the residual contract's norms, the boundary mass, the
-datum's normalization) is lattice.mass_sq, which sums in numpy's own einsum
-loops.  A BLAS dot product (np.vdot, np.linalg.norm) on a vector above
+sums in numpy's own einsum loops: the stored norm_logs, the boundary mass and
+the datum's normalization through lattice.mass_sq, and the residual
+contract's norms through one np.einsum on the weights its stepper holds:
+2.9 us a call on the 129 unknowns of d = 1, M = 128, against 8.7 us through
+mass_sq, whose checks and reshapes cost more than the sum at that size.  A BLAS dot product (np.vdot, np.linalg.norm) on a vector above
 OpenBLAS's threading cutoff wakes numpy's second BLAS thread, which then
 busy-waits between calls for the rest of the stepping loop: at d = 2, M = 64
 (alternating V, dt = 1e-2, T = 1, then the ring and log-convexity scans)
@@ -144,6 +173,8 @@ from .lattice import (LatticeField, LatticeWindow, Potential, SiteOrbits, bounda
 
 _RESIDUAL_TOL = 1e-12
 _MAX_BLOCK_STEPS_D1 = 16  # CN steps per solve at d = 1; one step at d >= 2
+_RAMP_BLOCKS = 4  # the first blocks take 1, 2, 4 and 8 steps, four blocks each
+_CARRY_LOG2_NORM = 500  # evolve carries the field with an ell^2 norm near 2^500
 
 
 def quotient_laplacian(orbits: SiteOrbits) -> "scipy.sparse.csc_matrix":
@@ -324,7 +355,9 @@ class Stepper:
     every step taken.
 
     With ``steps`` = k > 1 a stepper advances k CN steps at once: ``A`` is
-    A^k, factored the same way, and ``step`` solves A^k u' = B^k u.
+    A^k, factored the same way, and ``step`` solves A^k u' = B^k u.  The
+    steppers of one evolve share one ``chain``, the PowerChain of the A of
+    their window, potential, dt and orbits.
 
     With ``orbits`` (a SiteOrbits whose group keeps the potential) the
     stepper acts on the symmetry quotient: vectors hold one value per orbit,
@@ -333,30 +366,25 @@ class Stepper:
     """
 
     def __init__(self, window: LatticeWindow, potential: Potential, dt: float,
-                 steps: int = 1, orbits: SiteOrbits | None = None):
-        import scipy.sparse as sp
+                 steps: int = 1, orbits: SiteOrbits | None = None,
+                 chain: "PowerChain | None" = None):
         from scipy.sparse.linalg import splu
 
         orbits = orbits or SiteOrbits(window)
-        # R A S = I - i dt/2 (R Delta S + V at the representatives): the
-        # identity and V are diagonal and constant on each orbit
-        V = potential.values.ravel()[orbits.representatives]
-        H = quotient_laplacian(orbits) + sp.diags(V.astype(complex))
-        eye = sp.identity(H.shape[0], format="csc", dtype=complex)
-        A = (eye - 0.5j * dt * H).tocsc()
-        self.A, self._B = A, None
-        if steps > 1:
-            B = (2.0 * eye - A).tocsc()
-            self.A, self._B = _power(A, steps), _power(B, steps)
-        self._lu = splu(self.A, permc_spec="MMD_AT_PLUS_A")
+        chain = chain or PowerChain(cn_matrix(orbits, potential, dt))
+        self.A, self._B = chain.power(steps)
+        # at d = 1 A^k is a band matrix, which its natural order factors
+        # without fill (see the module docstring)
+        self._lu = splu(self.A, permc_spec="NATURAL" if window.d == 1 else "MMD_AT_PLUS_A")
         self.steps = steps
         # per float of a vector's float view: its orbit's size, twice
-        self._weights = None if orbits.trivial else np.repeat(orbits.sizes, 2)
+        self._weights = np.repeat(orbits.sizes, 2)
         self.refinement_solves = 0
         self.max_relative_residual = 0.0
 
     def _norm(self, v: np.ndarray) -> float:
-        return math.sqrt(mass_sq(v.view(float), 1, self._weights))
+        f = v.view(float)
+        return math.sqrt(np.einsum("i,i,i->", self._weights, f, f))
 
     def step(self, u: np.ndarray, Au: np.ndarray | None = None) -> tuple:
         """``steps`` CN steps from u, given A u when the caller carries it
@@ -386,20 +414,87 @@ class Stepper:
         return u, Au
 
 
-def _power(matrix, k: int):
-    """matrix^k by repeated sparse products."""
-    out = matrix
-    for _ in range(k - 1):
-        out = out @ matrix
-    return out.tocsc()
+def cn_matrix(orbits: SiteOrbits, potential: Potential, dt: float) -> "scipy.sparse.csc_matrix":
+    """The quotient's A = R A S = I - i dt/2 (R Delta S + V at the
+    representatives): the identity and V are diagonal and constant on each
+    orbit."""
+    import scipy.sparse as sp
+
+    V = potential.values.ravel()[orbits.representatives]
+    H = quotient_laplacian(orbits) + sp.diags(V.astype(complex))
+    eye = sp.identity(H.shape[0], format="csc", dtype=complex)
+    return (eye - 0.5j * dt * H).tocsc()
+
+
+class PowerChain:
+    """A^k and B^k = (2I - A)^k for any k from one chain of squares: the
+    chain holds A^(2^i) and B^(2^i), each the square of the one before, and
+    A^k is the product of the squares at k's binary digits.  Every block
+    length of an evolve reads the same chain."""
+
+    def __init__(self, A):
+        self._squares = [(A, None)]  # B is built with the first block of several steps
+
+    def power(self, k: int) -> tuple:
+        """(A^k, B^k) in CSC form; (A, None) for one step, which needs no B."""
+        if k == 1:
+            return self._squares[0][0], None
+        if self._squares[0][1] is None:
+            import scipy.sparse as sp
+
+            A = self._squares[0][0]
+            B = 2.0 * sp.identity(A.shape[0], format="csc", dtype=complex) - A
+            self._squares[0] = (A, B.tocsc())
+        while len(self._squares) < k.bit_length():
+            a, b = self._squares[-1]
+            self._squares.append(((a @ a).tocsc(), (b @ b).tocsc()))
+        picked = [pair for i, pair in enumerate(self._squares) if k >> i & 1]
+        a, b = picked[0]
+        for x, y in picked[1:]:
+            a, b = a @ x, b @ y
+        return a.tocsc(), b.tocsc()
+
+
+def _block_schedule(gaps: list, max_block: int) -> list:
+    """The CN steps of each block, per stored interval: blocks never cross a
+    stored node, and the i-th block of the run takes at most
+    min(2^(i // _RAMP_BLOCKS), max_block) steps."""
+    schedule, i = [], 0
+    for gap in gaps:
+        blocks = []
+        while gap:
+            blocks.append(min(gap, 1 << (i // _RAMP_BLOCKS), max_block))
+            gap -= blocks[-1]
+            i += 1
+        schedule.append(blocks)
+    return schedule
+
+
+def _ldexp(z: np.ndarray, n: int) -> np.ndarray:
+    """2^n z for a contiguous complex array, exact unless a value leaves
+    the normal range."""
+    return np.ldexp(z.view(float), n).view(complex)
+
+
+def _carry_exponent(u: np.ndarray, sizes: np.ndarray) -> int:
+    """n such that 2^n u has an orbit-weighted ell^2 norm in [2^(C-1),
+    2^C), C = _CARRY_LOG2_NORM; 0 for u = 0.  Found without squaring u, so
+    no norm over- or underflows."""
+    top = float(np.max(np.abs(u.view(float)), initial=0.0))
+    if top == 0.0:
+        return 0
+    e = math.frexp(top)[1]
+    f = math.frexp(math.sqrt(mass_sq(_ldexp(u, -e), 1, sizes)))[1]
+    return _CARRY_LOG2_NORM - e - f
 
 
 def evolve(u0: LatticeField, cfg: EvolutionConfig) -> Trajectory:
     """Integrate to T, storing every store_every-th node (endpoints always).
 
     The steps run on the quotient of the symmetry group that keeps both the
-    datum and the potential (see the module docstring), and each stored node
-    keeps the quotient's values: one per orbit of that group."""
+    datum and the potential, on the field carried as 2^n u (see the module
+    docstring), and each stored node keeps the quotient's values: one per
+    orbit of that group."""
     window = cfg.window
     if u0.window != window:
         raise ValueError("datum window != config window")
@@ -408,27 +503,32 @@ def evolve(u0: LatticeField, cfg: EvolutionConfig) -> Trajectory:
     if nodes[-1] != n_steps:
         nodes = np.append(nodes, n_steps)
     norm_logs = np.empty(len(nodes))
-    max_block = _MAX_BLOCK_STEPS_D1 if window.d == 1 else 1
-    gaps = [int(g) for g in np.diff(nodes)]
-    # every block length: whole blocks between stored nodes, then the remainder
-    lengths = {min(g, max_block) for g in gaps} | {g % max_block for g in gaps if g % max_block}
-    # d = 1 stays on the trivial group: see the module docstring
-    orbits = _symmetry(u0, cfg.potential) if window.d > 1 else SiteOrbits(window)
-    steppers = {steps: Stepper(window, cfg.potential, cfg.dt, steps, orbits)
-                for steps in lengths}
+    schedule = _block_schedule([int(g) for g in np.diff(nodes)],
+                               _MAX_BLOCK_STEPS_D1 if window.d == 1 else 1)
+    orbits = _symmetry(u0, cfg.potential)
+    chain = PowerChain(cn_matrix(orbits, cfg.potential, cfg.dt))
+    steppers = {steps: Stepper(window, cfg.potential, cfg.dt, steps, orbits, chain)
+                for steps in set(itertools.chain.from_iterable(schedule))}
     u = orbits.gather(u0.values).astype(complex)
+    carry = _carry_exponent(u, orbits.sizes)
+    u = _ldexp(u, carry)
+    # norm_logs are the stored values' own, taken at 2^-unit only for a datum
+    # whose norm is beyond 2^+-256, where their squares would leave the float
+    # range; the datum's norm is in [2^(level-1), 2^level)
+    level = _CARRY_LOG2_NORM - carry
+    unit = level if abs(level) > 256 else 0
     orbit_values = np.empty((len(nodes), orbits.count), dtype=complex)
     weights = None if orbits.trivial else orbits.sizes  # the window's mass from u's
     stepper = steppers.get(1)
     Au = None if stepper is None else stepper.A @ u  # carried by one-step blocks
-    for k, gap in enumerate([0] + gaps):
-        while gap:
-            steps = min(gap, max_block)
+    for k, blocks in enumerate([[]] + schedule):
+        for steps in blocks:
             previous, stepper = stepper, steppers[steps]
             u, Au = stepper.step(u, Au if stepper is previous else None)
-            gap -= steps
-        orbit_values[k] = u
-        norm_logs[k] = 0.5 * math.log(mass_sq(u, 1, weights))
+        stored = orbit_values[k]
+        np.ldexp(u.view(float), -carry, out=stored.view(float))
+        rescaled = _ldexp(stored, -unit) if unit else stored
+        norm_logs[k] = 0.5 * math.log(mass_sq(rescaled, 1, weights)) + unit * math.log(2.0)
     solver_stats = {"refinement_solves": sum(s.refinement_solves for s in steppers.values()),
                     "max_relative_residual": max((s.max_relative_residual
                                                   for s in steppers.values()), default=0.0),

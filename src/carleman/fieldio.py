@@ -11,11 +11,14 @@ from __future__ import annotations
 import json
 import struct
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .evolution import Trajectory
 from .lattice import LatticeField, LatticeWindow
+
+if TYPE_CHECKING:  # an annotation only: exporting a field needs no evolution code
+    from .evolution import Trajectory
 
 _MAGIC = b"CARL"
 _VERSION = 1

@@ -17,13 +17,18 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import sys
 from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
-
 TOOL_VERSION = "0.1.0"
+
+
+def _numpy():
+    """numpy if some module has loaded it, else None: a value can only be a
+    numpy one once numpy is loaded, so writing a report never loads it."""
+    return sys.modules.get("numpy")
 
 
 def sanitize(obj):
@@ -34,9 +39,10 @@ def sanitize(obj):
         return obj
     if isinstance(obj, Fraction):
         return str(obj)
-    if isinstance(obj, (np.floating, np.integer)):
+    np = _numpy()
+    if np is not None and isinstance(obj, (np.floating, np.integer)):
         return obj.item()
-    if isinstance(obj, np.ndarray):
+    if np is not None and isinstance(obj, np.ndarray):
         return [sanitize(x) for x in obj.tolist()]
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {k: sanitize(v) for k, v in dataclasses.asdict(obj).items()}
@@ -56,7 +62,8 @@ def _cell(v) -> str:
         return "1" if v else "0"
     if isinstance(v, float):
         return repr(v)
-    if isinstance(v, (np.floating, np.integer)):
+    np = _numpy()
+    if np is not None and isinstance(v, (np.floating, np.integer)):
         return repr(v.item())
     return str(v)
 

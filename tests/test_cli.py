@@ -106,10 +106,10 @@ def test_evolve_manifest_records_solver_stats_and_boundary_flag(flags, flagged, 
     assert sorted(stats) == ["block_steps", "boundary_mass", "boundary_mass_flag", "folded_axes",
                              "max_relative_residual", "norm_drift", "quotient_sites",
                              "refinement_solves", "swapped_axes"]
-    d2 = flags[1] == "2"  # the quotient is for d >= 2: 0 <= j_2 <= j_1 <= 10 there
-    assert stats["folded_axes"] == ([0, 1] if d2 else [])
+    d2 = flags[1] == "2"  # the quotient: 0 <= j_2 <= j_1 <= 10 at d = 2, 0 <= j <= 34 at d = 1
+    assert stats["folded_axes"] == ([0, 1] if d2 else [0])
     assert stats["swapped_axes"] == ([[0, 1]] if d2 else [])
-    assert stats["quotient_sites"] == (66 if d2 else 69)
+    assert stats["quotient_sites"] == (66 if d2 else 35)
     assert stats["refinement_solves"] == 0
     assert 0.0 < stats["max_relative_residual"] <= 1e-12
     assert stats["norm_drift"] < 1e-10
@@ -130,8 +130,8 @@ def test_evolving_subcommands_record_solver_stats(subcommand, flags, block_steps
                              "max_relative_residual", "norm_drift", "quotient_sites",
                              "refinement_solves", "swapped_axes"]
     assert stats["block_steps"] == block_steps
-    d2 = "--d" in flags  # the quotient is for d >= 2
-    assert stats["folded_axes"] == ([0, 1] if d2 else [])
+    d2 = "--d" in flags  # every axis of the even datum folds, at d = 1 too
+    assert stats["folded_axes"] == ([0, 1] if d2 else [0])
     assert stats["swapped_axes"] == ([[0, 1]] if d2 else [])
     assert stats["refinement_solves"] == 0
     assert 0.0 < stats["max_relative_residual"] <= 1e-12
@@ -601,6 +601,31 @@ def test_potential_scan_imports_counterexample_only(tmp_path):
     assert {"numpy", "carleman.counterexample", "carleman.reports"} <= set(modules)
     assert not {"carleman.evolution", "carleman.operators", "carleman.experiments"} & set(modules)
     assert not [m for m in modules if m.split(".")[0] == "scipy"]
+
+
+@pytest.mark.parametrize("subcommand", ["counterexample", "verify-counterexample"])
+def test_counterexample_runs_load_no_evolution_code(subcommand, tmp_path, capsys):
+    # neither builds nor reads a trajectory: writing or reading the field
+    # needs fieldio, and fieldio needs evolution only for an annotation
+    argv = [*RUNS["counterexample"], "--out", str(tmp_path), "--stamp", "pinned"]
+    if subcommand == "verify-counterexample":
+        assert main(["counterexample", *argv]) == 0
+        argv = ["--field-from", str(tmp_path / "counterexample_R8_repaired_0_pinned.bin"),
+                "--out", str(tmp_path), "--stamp", "pinned"]
+    code, *modules = _fresh(_IMPORTS_PROBE, subcommand, *argv).split()
+    assert code == "0"
+    assert {"numpy", "carleman.counterexample", "carleman.fieldio"} <= set(modules)
+    assert not {"carleman.evolution", "carleman.operators", "carleman.experiments"} & set(modules)
+    assert not [m for m in modules if m.split(".")[0] == "scipy"]
+
+
+def test_report_loads_no_numpy(tmp_path, capsys):
+    # manifests are JSON: listing them needs neither numpy nor a compute module
+    assert main(["lambda-scan", *RUNS["lambda-scan"], "--out", str(tmp_path),
+                 "--stamp", "pinned"]) == 0
+    code, *modules = _fresh(_IMPORTS_PROBE, "report", "--out", str(tmp_path)).split()
+    assert code == "0"
+    assert modules == ["carleman", "carleman.cli", "carleman.errors", "carleman.reports"]
 
 
 # In-process peak RSS of one CLI run, in MB (ru_maxrss is in kB on Linux).

@@ -11,8 +11,9 @@ import pytest
 import carleman
 from carleman.bessel import bessel_j
 from carleman.errors import SolverDivergenceError, ZeroObservationError
-from carleman.evolution import (EvolutionConfig, Stepper, evolve, make_decaying_datum,
-                                normalize_observation, observation_integral, quotient_laplacian)
+from carleman.evolution import (EvolutionConfig, PowerChain, Stepper, _block_schedule, cn_matrix,
+                                evolve, make_decaying_datum, normalize_observation,
+                                observation_integral, quotient_laplacian)
 from carleman.lattice import (LatticeField, LatticeWindow, Potential, SiteOrbits,
                               boundary_mass_fraction, laplacian_values, mass_sq)
 
@@ -324,18 +325,120 @@ def test_store_every_keeps_final_node():
 
 
 def test_d1_blocks_match_dense_solve_oracle():
-    # 100 steps stored every 37th: blocks of 16, 16, 5 between nodes and
-    # 16, 10 before T, against the CN recurrence with one dense solve per step
+    # 100 steps stored every 37th: the ramp of four blocks each of 1, 2 and 4
+    # steps, then 8 and 1 before the first node, 8, 8, 16 and 5 before the
+    # second and 16, 10 before T, against the CN recurrence with one dense
+    # solve per step
     window = LatticeWindow(1, 34)
     potential = Potential.alternating(window)
     cfg = EvolutionConfig(dt=1e-2, T=1.0, window=window, potential=potential, store_every=37)
     traj = evolve(LatticeField.delta(window), cfg)
     assert traj.solver_stats["block_steps"] == 16
-    assert traj.solver_stats["folded_axes"] == []  # the fold is for d >= 2
+    assert traj.solver_stats["folded_axes"] == [0]  # 0 <= j <= 34
+    assert traj.solver_stats["quotient_sites"] == 35
     oracle = dense_cn_oracle(LatticeField.delta(window), cfg)
     assert traj.n_stored == len(oracle) == 4
     assert np.min(np.abs(oracle[oracle != 0])) < 1e-50
     assert max_log_deviation(np.asarray(traj.values), oracle) <= 1e-10
+
+
+def mpmath_cn_oracle(cfg, dps=50):
+    """The CN recurrence from a delta at j = 0, d = 1, one step per solve in
+    dps-digit mpmath on the full window (the Thomas recurrence for the
+    tridiagonal A), at the stored nodes of cfg: mpc values."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        h = mpmath.mpf(cfg.dt) / 2
+        diag = [1 - 1j * h * (v - 2) for v in cfg.potential.values]  # A's diagonal
+        off = -1j * h  # A's off-diagonals; B = 2I - A
+        pivots = [diag[0]]
+        for a in diag[1:]:
+            pivots.append(a - off * off / pivots[-1])
+        n, M = len(diag), cfg.window.M
+        u = [mpmath.mpc(0)] * n
+        u[M] = mpmath.mpc(1)
+        nodes = [u]
+        for step in range(1, cfg.n_steps + 1):
+            y = []
+            for j in range(n):
+                rhs = (2 - diag[j]) * u[j] - off * ((u[j - 1] if j else 0)
+                                                    + (u[j + 1] if j < n - 1 else 0))
+                y.append(rhs - off / pivots[j - 1] * y[-1] if j else rhs)
+            u = [None] * n
+            u[-1] = y[-1] / pivots[-1]
+            for j in range(n - 2, -1, -1):
+                u[j] = (y[j] - off * u[j + 1]) / pivots[j]
+            if step % cfg.store_every == 0 or step == cfg.n_steps:
+                nodes.append(u)
+        return nodes
+
+
+def test_d1_ramped_blocks_keep_the_deep_tail():
+    # Blocks of up to 16 steps, against single CN steps in 50-digit mpmath at
+    # every site with |u| > 1e-300, down to 3.3e-141 here.  Stored every
+    # 16th step to step 80, where the first 16-step block ends.  Measured max
+    # |d log|u||: 3.4e-13 with the ramp of four blocks each of 1, 2, 4 and 8
+    # steps; 6.9e-7 at step 16 and 1.6e-9 at step 32 with blocks of 16 from the
+    # first step, and 6.8e-10 with a ramp of one block each.
+    import mpmath
+
+    window = LatticeWindow(1, 48)
+    cfg = EvolutionConfig(dt=1e-3, T=0.08, window=window, potential=Potential.alternating(window),
+                          store_every=16)
+    traj = evolve(LatticeField.delta(window), cfg)
+    assert traj.solver_stats["block_steps"] == 16
+    oracle = mpmath_cn_oracle(cfg)
+    assert traj.n_stored == len(oracle) == 6
+    worst, smallest = 0.0, 1.0
+    for values, exact in zip(traj.values, oracle):
+        for got, z in zip(values, exact):
+            if abs(z) > 1e-300:
+                smallest = min(smallest, float(abs(z)))
+                worst = max(worst, abs(math.log(abs(got)) - float(mpmath.log(abs(z)))))
+    assert smallest < 1e-140
+    assert worst <= 1e-11
+
+
+def test_block_schedule_ramps_then_caps():
+    # the i-th block takes at most 2^(i // 4) steps, up to 16 at d = 1 and one
+    # step at d >= 2; no block crosses a stored node
+    assert _block_schedule([37, 37, 26], 16) == [
+        [1, 1, 1, 1, 2, 2, 2, 2, 4, 4, 4, 4, 8, 1], [8, 8, 16, 5], [16, 10]]
+    assert _block_schedule([3, 2], 1) == [[1, 1, 1], [1, 1]]
+
+
+def test_power_chain_builds_every_block_length_from_squares():
+    window = LatticeWindow(1, 6)
+    A = cn_matrix(SiteOrbits(window, (0,)), Potential.alternating(window), 1e-2)
+    chain = PowerChain(A)
+    dense = A.toarray()
+    assert chain.power(1)[1] is None  # one step carries A u and builds no B
+    for k in (16, 5, 11, 2):
+        Ak, Bk = chain.power(k)
+        for got, base in ((Ak, dense), (Bk, 2 * np.eye(len(dense)) - dense)):
+            want = np.linalg.matrix_power(base, k)
+            assert np.max(np.abs(got.toarray() - want)) <= 1e-14 * np.max(np.abs(want))
+    assert len(chain._squares) == 5  # A, A^2, A^4, A^8, A^16: nothing rebuilt
+
+
+@pytest.mark.parametrize("d, M", [(1, 34), (2, 8)])
+@pytest.mark.parametrize("exponent", [600, -600])
+def test_evolve_of_a_power_of_two_times_the_datum(d, M, exponent):
+    # evolve carries every datum with a norm near 2^500, so 2^+-600 u0 runs the
+    # same steps as u0, bit for bit: the carry neither overflows nor moves a
+    # digit, and the norm logs shift by 600 log 2
+    window = LatticeWindow(d, M)
+    cfg = EvolutionConfig(dt=1e-2, T=0.5, window=window, potential=Potential.alternating(window),
+                          store_every=10)
+    u0 = make_decaying_datum(window, ("bessel_like", 1.0))
+    traj = evolve(u0, cfg)
+    scaled = evolve(LatticeField.from_values(window, u0.values * 2.0 ** exponent), cfg)
+    assert np.min(np.abs(traj.orbit_values)) > 2.0 ** (-1021 + 600)  # no subnormal once scaled
+    assert np.array_equal(scaled.orbit_values, traj.orbit_values * 2.0 ** exponent)
+    assert np.allclose(scaled.norm_logs, traj.norm_logs + exponent * math.log(2.0),
+                       rtol=0, atol=1e-12)
+    assert scaled.solver_stats == traj.solver_stats
 
 
 def per_step_loop(u0, cfg, orbits):
@@ -601,7 +704,7 @@ def test_values_view_unfolds_what_it_indexes_bit_for_bit(d, M):
     cfg = EvolutionConfig(dt=1e-2, T=0.1, window=window, potential=Potential.alternating(window),
                           store_every=2)
     traj = evolve(make_decaying_datum(window, ("bessel_like", 1.0)), cfg)
-    assert traj.orbits.trivial == (d == 1)
+    assert not traj.orbits.trivial  # the even datum folds every axis
     full = traj.orbits.unfold(traj.orbit_values)
     view = traj.values
     assert len(view) == traj.n_stored == 6
