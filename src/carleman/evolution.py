@@ -76,13 +76,19 @@ even is neither folded nor swapped; with no symmetry at all the steps are the
 unfolded ones above, bit for bit.
 
 A Trajectory keeps the quotient's values, one per orbit (3.5 MB for 101
-nodes at d = 2, M = 64, against 27 MB unfolded), and the scans read them as
-they are.  Trajectory.values is the one place they are unfolded through the
-orbit map: a read-only view that unfolds only the snapshots it is indexed
-with, so reading the last of those 101 allocates one 0.27 MB snapshot.  Two
-callers index it, where a full-window array leaves the program: the
-trajectory files and the log-convexity sweep, whose e^{2 beta.j} weights no
-symmetry keeps, each one snapshot at a time.
+nodes at d = 2, M = 64, against 27 MB unfolded), once: ``orbit_values`` is
+the array evolve stored, and a rescaled trajectory (normalize_observation)
+shares it and carries the factor as a log offset, ``scale_log``, which the
+ring scan adds to each log lambda and the observation integral folds in.
+The scans read the orbit values as they are, the ring scan in column blocks
+of about lattice._BLOCK_VALUES entries.  Trajectory.values is the one
+place they are unfolded through the orbit map, which SiteOrbits builds only
+then: a read-only view that unfolds only the snapshots it is indexed with
+and scales each by e^{scale_log}, so reading the last of those 101
+allocates one 0.27 MB snapshot.  Two callers read it, where a full-window
+array leaves the program, each one snapshot at a time into one reused
+buffer: the trajectory files and the log-convexity sweep, whose
+e^{2 beta.j} weights no symmetry keeps.
 
 What the quotient saves (alternating V, dt = 1e-2, bessel_like datum; medians
 on 2 vCPUs):
@@ -184,16 +190,15 @@ def quotient_laplacian(orbits: SiteOrbits) -> "scipy.sparse.csc_matrix":
     no neighbour is in the site's own orbit (see the module docstring)."""
     import scipy.sparse as sp
 
-    window, n = orbits.window, orbits.count
-    reps = np.unravel_index(orbits.representatives, window.shape)
+    window, n, keys = orbits.window, orbits.count, orbits.keys
     rows, cols = [np.arange(n)], [np.arange(n)]
     for k in range(window.d):
         for shift in (-1, 1):
-            moved = reps[k] + shift
-            inside = (moved >= 0) & (moved <= 2 * window.M)
-            rows.append(np.flatnonzero(inside))
-            cols.append(orbits.site_orbit[tuple(moved[inside] if axis == k else c[inside]
-                                                for axis, c in enumerate(reps))])
+            inside = np.flatnonzero(np.abs(keys[k] + shift) <= window.M)
+            moved = keys[:, inside]
+            moved[k] += shift
+            rows.append(inside)
+            cols.append(orbits.orbit_of(moved))
     rows, cols = np.concatenate(rows), np.concatenate(cols)
     # the COO -> CSC conversion sums the duplicates and sorts each column
     return sp.csc_matrix((np.where(rows == cols, -2.0 * window.d, 1.0), (rows, cols)),
@@ -245,14 +250,24 @@ class EvolutionConfig:
 @dataclass
 class Trajectory:
     """Stored snapshots of one evolution, one value per orbit of the symmetry
-    group they are invariant under, plus per-node conserved-norm logs."""
+    group they are invariant under, plus per-node conserved-norm logs.
+
+    The trajectory's values are e^{scale_log} times orbit_values: evolve
+    stores the values it computes with scale_log = 0, and ``scaled`` shares
+    that array and moves scale_log (and norm_logs, the log norms of the
+    values) by the log of its factor, so a normalized trajectory adds no
+    second copy.  Readers fold the factor in where they use the values: the
+    ring masses add scale_log to each log lambda, the observation integral
+    multiplies by e^{2 scale_log}, ``values`` scales each snapshot it
+    unfolds, and the boundary mass and the log-convexity ratios do not
+    depend on it."""
 
     orbits: SiteOrbits
     times: np.ndarray
-    orbit_values: np.ndarray  # (n_stored, orbits.count): the values at the representatives
+    orbit_values: np.ndarray  # (n_stored, orbits.count): at the representatives, before scale_log
     norm_logs: np.ndarray
     config: EvolutionConfig
-    scale_log: float = 0.0  # log of any normalization applied afterwards
+    scale_log: float = 0.0  # the log of the factor the values carry beyond orbit_values
     # CN solver: {"refinement_solves": total, "max_relative_residual": max over
     # solves, "block_steps": most CN steps advanced by one solve, the symmetry:
     # "folded_axes", "swapped_axes", "quotient_sites"}
@@ -266,7 +281,7 @@ class Trajectory:
     def values(self) -> "Snapshots":
         """The snapshots unfolded to the full window, as a read-only view
         that unfolds only what it is indexed with (see Snapshots)."""
-        return Snapshots(self.orbits, self.orbit_values)
+        return Snapshots(self.orbits, self.orbit_values, self.scale_log)
 
     @property
     def n_stored(self) -> int:
@@ -284,19 +299,25 @@ class Trajectory:
         return float(np.max(np.abs(np.exp(self.norm_logs - self.norm_logs[0]) - 1.0)))
 
     def scaled(self, factor: float) -> "Trajectory":
-        return Trajectory(self.orbits, self.times, factor * self.orbit_values,
-                          self.norm_logs + math.log(abs(factor)), self.config,
-                          self.scale_log + math.log(abs(factor)), self.solver_stats)
+        """The trajectory times factor > 0, sharing orbit_values (a log
+        offset carries no sign)."""
+        if not factor > 0:
+            raise ValueError(f"a trajectory scales by a factor > 0 only, not {factor}")
+        shift = math.log(factor)
+        return Trajectory(self.orbits, self.times, self.orbit_values, self.norm_logs + shift,
+                          self.config, self.scale_log + shift, self.solver_stats)
 
 
 class Snapshots:
     """Stacked orbit values read as the window's snapshots, (n_stored,
-    *window.shape), unfolded on demand.  ``view[key]`` means
-    ``np.asarray(view)[key]`` but unfolds only the snapshots that the first
-    index of key selects; each read is a new array."""
+    *window.shape), unfolded on demand and multiplied by e^{scale_log}.
+    ``view[key]`` means ``np.asarray(view)[key]`` but unfolds only the
+    snapshots that the first index of key selects; each read is a new array,
+    and ``read`` unfolds one snapshot into a buffer the caller reuses."""
 
-    def __init__(self, orbits: SiteOrbits, orbit_values: np.ndarray):
+    def __init__(self, orbits: SiteOrbits, orbit_values: np.ndarray, scale_log: float = 0.0):
         self._orbits, self._orbit_values = orbits, orbit_values
+        self._scale = math.exp(scale_log)
 
     def __len__(self) -> int:
         return len(self._orbit_values)
@@ -308,25 +329,35 @@ class Snapshots:
     def __iter__(self):
         return (self[i] for i in range(len(self)))
 
+    def _unfold(self, orbit_values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        out = self._orbits.unfold(orbit_values, out=out)
+        if self._scale != 1.0:
+            out *= self._scale
+        return out
+
+    def read(self, i: int, out: np.ndarray) -> np.ndarray:
+        """Snapshot i, unfolded into out (complex, the window's shape)."""
+        return self._unfold(self._orbit_values[i], out=out)
+
     def __getitem__(self, key) -> np.ndarray:
         key = key if isinstance(key, tuple) else (key,)
         if not key or key[0] is Ellipsis or key[0] is None:
             return np.asarray(self)[key]  # the first index is not on the snapshot axis
         first, rest = key[0], key[1:]
         if not rest:
-            return self._orbits.unfold(self._orbit_values[first])
+            return self._unfold(self._orbit_values[first])
         if isinstance(first, slice):
-            return self._orbits.unfold(self._orbit_values[first])[(slice(None),) + rest]
+            return self._unfold(self._orbit_values[first])[(slice(None),) + rest]
         # an integer or an index array: unfold the snapshots it picks, then index
         # them with one of the same shape, so rest means what it means in numpy
         picked = np.arange(len(self))[first]
         local = np.arange(picked.size).reshape(picked.shape)
-        return self._orbits.unfold(self._orbit_values[picked.ravel()])[(local,) + rest]
+        return self._unfold(self._orbit_values[picked.ravel()])[(local,) + rest]
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         if copy is False:
             raise ValueError("unfolding the snapshots makes a new array: copy=False is impossible")
-        out = self._orbits.unfold(self._orbit_values)
+        out = self._unfold(self._orbit_values)
         return out if dtype is None else out.astype(dtype, copy=False)
 
 
@@ -576,10 +607,10 @@ def observation_integral(traj: Trajectory) -> float:
     if np.count_nonzero(sel) < 3:
         raise ZeroObservationError("too few stored nodes inside [3/8, 5/8]")
     sub_t = t[sel]
-    origin = traj.orbits.site_orbit[traj.window.index_of([0] * traj.window.d)]  # its own orbit
+    origin = traj.orbits.orbit_of(np.zeros(traj.window.d, dtype=int))  # its own orbit
     series = np.abs(traj.orbit_values[sel, origin]) ** 2
     w = _simpson_weights(len(sub_t), float(sub_t[1] - sub_t[0]))
-    return float(np.dot(w, series))
+    return float(np.dot(w, series)) * math.exp(2.0 * traj.scale_log)
 
 
 def normalize_observation(traj: Trajectory) -> Trajectory:

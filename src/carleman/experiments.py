@@ -130,12 +130,10 @@ def _directional_log_sums(log_mass: np.ndarray, axis_values: np.ndarray, betas_p
     return x
 
 
-def log_convexity_check(traj: Trajectory, beta_list, cfg: ExperimentConfig) -> dict:
-    """rho(beta, t) = sum e^{2 beta.j} |u(t)|^2 / sum e^{2 beta.j}(|u(0)|^2+|u(1)|^2)
-    at interior stored times, in the log domain; the empirical constant is
-    C_emp = max log rho / L, which the two-endpoint bound keeps finite
-    uniformly in beta.  No symmetry keeps e^{2 beta.j}, so the snapshots read
-    are unfolded to the full window, one at a time."""
+def _log_rho(traj: Trajectory, beta_list) -> tuple:
+    """(betas, one row of d per beta; the interior node indices; log rho
+    at each of those nodes and each beta, (n_times, n_betas)).  The
+    snapshots read are unfolded one at a time into one window buffer."""
     window, snapshots = traj.window, traj.values
     idxs = _interior_indices(traj)
     betas = [np.atleast_1d(np.asarray(b, dtype=float)) for b in beta_list]
@@ -143,15 +141,28 @@ def log_convexity_check(traj: Trajectory, beta_list, cfg: ExperimentConfig) -> d
     per_axis = [np.unique(betas[:, k], return_inverse=True) for k in range(window.d)]
     values = [v for v, _ in per_axis]
     pick = tuple(inv for _, inv in per_axis)
+    buffer = np.empty(window.shape, dtype=complex)
 
     def log_sums(i):
-        return _directional_log_sums(log_abs_sq(snapshots[i]), window.axes, values)[pick]
+        return _directional_log_sums(log_abs_sq(snapshots.read(i, buffer)), window.axes,
+                                     values)[pick]
 
     den = np.logaddexp(log_sums(0), log_sums(-1))
-    log_rho = [log_sums(i) - den for i in idxs]
-    rows = [{"beta": beta.tolist(), "t": float(traj.times[i]), "log_rho": float(lr[b])}
-            for b, beta in enumerate(betas) for i, lr in zip(idxs, log_rho)]
-    max_log_rho = max((r["log_rho"] for r in rows), default=-math.inf)
+    return betas, idxs, np.array([log_sums(i) - den for i in idxs])
+
+
+def log_convexity_check(traj: Trajectory, beta_list, cfg: ExperimentConfig) -> dict:
+    """rho(beta, t) = sum e^{2 beta.j} |u(t)|^2 / sum e^{2 beta.j}(|u(0)|^2+|u(1)|^2)
+    at interior stored times, in the log domain; the empirical constant is
+    C_emp = max log rho / L, which the two-endpoint bound keeps finite
+    uniformly in beta.  No symmetry keeps e^{2 beta.j}, so the snapshots read
+    are unfolded to the full window, one at a time."""
+    betas, idxs, log_rho = _log_rho(traj, beta_list)
+    times = [float(traj.times[i]) for i in idxs]
+    rows = [{"beta": beta, "t": t, "log_rho": float(lr)}
+            for beta, column in zip(betas.tolist(), log_rho.T)  # one beta list per beta
+            for t, lr in zip(times, column)]
+    max_log_rho = float(np.max(log_rho, initial=-math.inf))
     out = {"rows": rows, "max_log_rho": max_log_rho,
            "max_rho_minus_one": math.expm1(max_log_rho),
            "boundary_mass": traj.boundary_mass()}
@@ -176,9 +187,9 @@ def log_convexity_stability(traj: Trajectory, beta_max: float, cfg: ExperimentCo
     the change stays small (20% is the acceptance gate)."""
     if cfg.L <= 0:
         raise ValueError("stability check needs L > 0")
-    one = log_convexity_check(traj, beta_grid(beta_max, traj.window.d), cfg)
-    two = log_convexity_check(traj, beta_grid(2.0 * beta_max, traj.window.d), cfg)
-    c1, c2 = one["C_emp"], two["C_emp"]
+    d = traj.window.d
+    c1, c2 = (float(np.max(_log_rho(traj, beta_grid(b, d))[2], initial=-math.inf)) / cfg.L
+              for b in (beta_max, 2.0 * beta_max))
     rel = abs(c2 - c1) / max(abs(c1), 1e-300)
     # with C_emp <= 0 no ratio exceeds 1, so the relative change says nothing
     return {"C_emp_base": c1, "C_emp_doubled": c2, "relative_change": rel,

@@ -28,6 +28,33 @@ def _sidecar_path(path: Path) -> Path:
     return path.with_name(path.name + ".json")
 
 
+def _header(window: LatticeWindow, n_time: int) -> bytes:
+    return _MAGIC + struct.pack("<IIII", _VERSION, window.d, window.M, n_time)
+
+
+def _sidecar_text(window: LatticeWindow, n_time: int, metadata: dict | None) -> str:
+    sidecar = {
+        "format": "carleman-field",
+        "version": _VERSION,
+        "d": window.d,
+        "M": window.M,
+        "n_time": n_time,
+        "byte_order": "little",
+        "value_layout": "row-major complex pairs, 8-byte floats",
+        "metadata": metadata or {},
+    }
+    return json.dumps(sidecar, indent=2, sort_keys=True) + "\n"
+
+
+def _write(path: Path, header: bytes, values: np.ndarray, sidecar_text: str) -> list:
+    with path.open("wb") as f:
+        f.write(header)
+        f.write(np.ascontiguousarray(values, dtype="<c16"))  # a copy only if not already so
+    sc = _sidecar_path(path)
+    sc.write_text(sidecar_text)
+    return [path, sc]
+
+
 def write_field(path, field_or_values, window: LatticeWindow | None = None,
                 n_time: int = 1, metadata: dict | None = None) -> list:
     """Write a field (or stacked snapshots) plus its JSON sidecar; returns
@@ -41,23 +68,7 @@ def write_field(path, field_or_values, window: LatticeWindow | None = None,
         values = np.asarray(field_or_values)
         if window is None:
             raise ValueError("window required for raw value arrays")
-    header = _MAGIC + struct.pack("<III", _VERSION, window.d, window.M) + struct.pack("<I", n_time)
-    with path.open("wb") as f:
-        f.write(header)
-        f.write(np.ascontiguousarray(values, dtype="<c16"))  # a copy only if not already so
-    sidecar = {
-        "format": "carleman-field",
-        "version": _VERSION,
-        "d": window.d,
-        "M": window.M,
-        "n_time": n_time,
-        "byte_order": "little",
-        "value_layout": "row-major complex pairs, 8-byte floats",
-        "metadata": metadata or {},
-    }
-    sc = _sidecar_path(path)
-    sc.write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
-    return [path, sc]
+    return _write(path, _header(window, n_time), values, _sidecar_text(window, n_time, metadata))
 
 
 def read_field(path):
@@ -85,15 +96,22 @@ def read_field(path):
 
 def write_trajectory(directory, traj: Trajectory) -> list:
     """One binary per snapshot, trajectory_<i>.bin, each unfolded to the full
-    window as it is written (traj.values[i]), plus trajectory_manifest.json
-    (dt, T, scheme, potential hash)."""
+    window as it is written (traj.values.read, into one reused buffer), plus
+    trajectory_manifest.json (dt, T, scheme, potential hash).  The header
+    and the sidecar text are rendered once; each sidecar differs only in its
+    time, written where the template holds null."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+    window, snapshots = traj.window, traj.values
+    header = _header(window, 1)
+    before, after = _sidecar_text(window, 1, {"t": None}).split("null")
+    buffer = np.empty(window.shape, dtype=complex)
     written = []
     files = []
-    for i, snapshot in enumerate(traj.values):
+    for i, t in enumerate(traj.times):
         p = directory / f"trajectory_{i:05d}.bin"
-        written += write_field(p, snapshot, traj.window, metadata={"t": float(traj.times[i])})
+        written += _write(p, header, snapshots.read(i, buffer),
+                          before + json.dumps(float(t)) + after)
         files.append(p.name)
     manifest = {
         "format": "carleman-trajectory",

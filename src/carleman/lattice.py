@@ -12,6 +12,13 @@ import numpy as np
 from .errors import RingOutsideWindowError
 from .logscalar import NEG_INF, log_abs_sq, logsumexp
 
+# blocked passes: ring_masses reduces its time axis in column blocks of about
+# _BLOCK_VALUES floats (256 KB; blocks of 4096 took 1.2 ms more of a 6 ms
+# d = 2, M = 64 scan), and SiteOrbits ranks its orbit map in blocks of about
+# _MAP_BLOCK_SITES sites, each with about six int64 temporaries
+_BLOCK_VALUES = 1 << 15
+_MAP_BLOCK_SITES = 1 << 12
+
 
 @dataclass(frozen=True)
 class LatticeWindow:
@@ -60,11 +67,6 @@ class LatticeWindow:
             out = np.maximum(out, np.abs(self.coordinate(k)))
         return out
 
-    @property
-    def boundary_shell(self) -> np.ndarray:
-        """Mask of the outer shell max_k |j_k| > M-2."""
-        return self.inf_norm > self.M - 2
-
     def index_of(self, j) -> tuple:
         return tuple(int(jk) + self.M for jk in np.atleast_1d(j))
 
@@ -87,6 +89,19 @@ class SiteOrbits:
     swap there are comb(M + d, d) orbits: 2145 for the 16641 sites at d = 2,
     M = 64, and 6545 for the 274625 at d = 3, M = 32, where 21 stored nodes
     take 2.2 MB as orbit values and 92 MB unfolded.
+
+    Everything but the orbit map is built from the keys alone, at the size
+    of the quotient.  ``keys`` enumerates them in C order, axis by axis: a
+    folded axis runs over 0..M, or over 0..(the key on the axis before it in
+    its class), and any other axis over -M..M.  An orbit's size is
+    2^(nonzero folded coordinates) times, per class, the multinomial count of
+    the distinct orders of its key.  ``radial_bins`` and ``boundary_shell``
+    read |j|^2 and max_k |j_k| off the keys, and ``orbit_of`` ranks any site
+    by its key's flat index among the representatives' (np.searchsorted).
+    ``site_orbit``, the window-sized orbit map, exists only once something
+    unfolds orbit values to the window (``unfold``: the trajectory files and
+    the log-convexity sweep); it is then ranked in blocks of rows of about
+    _MAP_BLOCK_SITES sites.
     """
 
     window: LatticeWindow
@@ -98,33 +113,63 @@ class SiteOrbits:
             raise ValueError("only folded axes can be swapped")
 
     @cached_property
-    def _layout(self) -> tuple:
-        """(representatives, site_orbit): the flat window index of each
-        orbit's representative, and each site's orbit number."""
-        w = self.window
-        key = np.indices(w.shape) - w.M
-        for k in self.folded:
-            key[k] = np.abs(key[k])
+    def _classes(self) -> list:
+        """The folded axes grouped into the classes that swaps connect, each
+        an increasing tuple."""
         classes = [{k} for k in self.folded]
         for k, l in self.swapped:
             a, b = (next(c for c in classes if axis in c) for axis in (k, l))
             if a is not b:
                 a |= b
                 classes.remove(b)
-        for axes in (sorted(c) for c in classes if len(c) > 1):
-            key[axes] = np.sort(key[axes], axis=0)[::-1]
-        flat = np.ravel_multi_index(tuple(key + w.M), w.shape).ravel()
-        representatives, site_orbit = np.unique(flat, return_inverse=True)
-        return representatives, site_orbit.reshape(w.shape)
+        return [tuple(sorted(c)) for c in classes]
 
-    @property
+    @cached_property
+    def keys(self) -> np.ndarray:
+        """The representatives' coordinates, (d, count), in C order."""
+        w = self.window
+        previous = {b: a for c in self._classes for a, b in zip(c, c[1:])}
+        columns = []  # the keys' first k coordinates, then one more per axis
+        for k in range(w.d):
+            n = columns[0].size if columns else 1
+            lo = 0 if k in self.folded else -w.M
+            hi = columns[previous[k]] if k in previous else np.full(n, w.M)
+            counts = hi - lo + 1
+            prefix = np.repeat(np.arange(n), counts)
+            start = np.cumsum(counts) - counts
+            columns = [c[prefix] for c in columns] + [np.arange(prefix.size) - start[prefix] + lo]
+        return np.array(columns)
+
+    @cached_property
     def representatives(self) -> np.ndarray:
-        return self._layout[0]
+        """The flat window index of each orbit's representative, increasing."""
+        return np.ravel_multi_index(tuple(self.keys + self.window.M), self.window.shape)
 
-    @property
+    def orbit_of(self, sites) -> np.ndarray:
+        """The orbit number of each in-window site, given as d integer
+        coordinate arrays that broadcast together (or one (d, ...) array)."""
+        key = [np.abs(j) if k in self.folded else j for k, j in enumerate(sites)]
+        for axes in self._classes:  # decreasing within each class: a network of max/min
+            for end in range(len(axes) - 1, 0, -1):
+                for a, b in zip(axes[:end], axes[1:end + 1]):
+                    key[a], key[b] = np.maximum(key[a], key[b]), np.minimum(key[a], key[b])
+        M = self.window.M
+        flat = key[0] + M
+        for j in key[1:]:
+            flat = flat * (2 * M + 1) + (j + M)
+        return np.searchsorted(self.representatives, flat)
+
+    @cached_property
     def site_orbit(self) -> np.ndarray:
         """Each window site's orbit number, in the window's shape."""
-        return self._layout[1]
+        w = self.window
+        out = np.empty(w.shape, dtype=np.intp)
+        rows = max(1, _MAP_BLOCK_SITES * w.shape[0] // w.site_count)  # of the first axis, per block
+        rest = [w.coordinate(k) for k in range(1, w.d)]
+        for lo in range(0, w.shape[0], rows):
+            first = w.axes[lo:lo + rows].reshape((-1,) + (1,) * (w.d - 1))
+            out[lo:lo + rows] = self.orbit_of([first] + rest)
+        return out
 
     @property
     def count(self) -> int:
@@ -139,14 +184,28 @@ class SiteOrbits:
     @cached_property
     def sizes(self) -> np.ndarray:
         """The number of window sites in each orbit, as floats."""
-        return np.bincount(self.site_orbit.ravel(), minlength=self.count).astype(float)
+        keys = self.keys
+        sizes = np.left_shift(1, np.count_nonzero(keys[list(self.folded)], axis=0))
+        for axes in self._classes:  # times len(axes)! / prod(run length!) over equal runs
+            run = np.ones(self.count, dtype=np.int64)
+            runs = np.ones(self.count, dtype=np.int64)
+            for a, b in zip(axes, axes[1:]):
+                run = np.where(keys[b] == keys[a], run + 1, 1)
+                runs *= run
+            sizes = sizes * math.factorial(len(axes)) // runs
+        return sizes.astype(float)
+
+    @cached_property
+    def boundary_shell(self) -> np.ndarray:
+        """Whether each orbit lies in the outer shell max_k |j_k| > M-2."""
+        return np.max(np.abs(self.keys), axis=0) > self.window.M - 2
 
     @cached_property
     def radial_bins(self) -> tuple:
         """The orbits grouped by integer |j|^2: (orbit order sorted by |j|^2,
         the distinct |j|^2 values, the start of each group in that order, the
         group sizes)."""
-        r_sq = self.window.radius_sq.ravel()[self.representatives]
+        r_sq = np.sum(self.keys.astype(float) ** 2, axis=0)
         order = np.argsort(r_sq, kind="stable")
         values, starts, counts = np.unique(r_sq[order], return_index=True, return_counts=True)
         return order, values, starts, counts
@@ -159,10 +218,13 @@ class SiteOrbits:
         flat = values.reshape(values.shape[:values.ndim - d] + (-1,))
         return flat if self.trivial else np.take(flat, self.representatives, axis=-1)
 
-    def unfold(self, orbit_values: np.ndarray) -> np.ndarray:
+    def unfold(self, orbit_values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The window's values of orbit-invariant values given one per orbit
-        along the last axis: that axis becomes the d window axes."""
-        return np.take(orbit_values, self.site_orbit, axis=-1)
+        along the last axis: that axis becomes the d window axes (written to
+        out when given)."""
+        # every orbit number is in range, and np.take buffers out unless the
+        # mode lets it skip the range check
+        return np.take(orbit_values, self.site_orbit, axis=-1, out=out, mode="clip")
 
     def log_mass(self, orbit_values: np.ndarray) -> np.ndarray:
         """log of each orbit's ell^2 mass, log|u_rep|^2 + log(orbit size),
@@ -227,16 +289,37 @@ class Potential:
         return Potential(window, amplitude * np.where(parity % 2 == 0, 1.0, -1.0))
 
 
+def shifted(values: np.ndarray, axis: int, step: int, edge: float = 0.0) -> np.ndarray:
+    """out[..., j, ...] = values[..., j+step, ...] along axis (step +-1), with
+    edge where j+step leaves the window: one contiguous copy, whose edge slab
+    alone is then set."""
+    def at(index) -> tuple:
+        key = [slice(None)] * values.ndim
+        key[axis] = index
+        return tuple(key)
+
+    out = np.empty_like(values)
+    if step == 1:
+        out[at(slice(None, -1))] = values[at(slice(1, None))]
+        out[at(-1)] = edge
+    elif step == -1:
+        out[at(slice(1, None))] = values[at(slice(None, -1))]
+        out[at(0)] = edge
+    else:
+        raise ValueError("step must be +-1")
+    return out
+
+
 def laplacian_values(values: np.ndarray, d: int) -> np.ndarray:
-    """(Delta_d u)_j = sum_k (u_{j+e_k} + u_{j-e_k} - 2 u_j), zero padding."""
+    """(Delta_d u)_j = sum_k (u_{j+e_k} + u_{j-e_k} - 2 u_j), zero padding.
+
+    Each neighbour comes in as a whole shifted copy with a -0.0 edge: x +
+    (-0.0) is x bit for bit, the sign of a zero included, so every sum is
+    the one that adds only the in-window neighbours, in the same order."""
     out = (-2.0 * d) * values
     for k in range(values.ndim - d, values.ndim):
-        lo = [slice(None)] * values.ndim
-        hi = [slice(None)] * values.ndim
-        lo[k] = slice(None, -1)
-        hi[k] = slice(1, None)
-        out[tuple(lo)] += values[tuple(hi)]
-        out[tuple(hi)] += values[tuple(lo)]
+        out += shifted(values, k, +1, edge=-0.0)
+        out += shifted(values, k, -1, edge=-0.0)
     return out
 
 
@@ -286,33 +369,46 @@ def ring_masses(u, R_list, time_weights: np.ndarray | None = None) -> list:
     space-time input.
 
     u: LatticeField (stationary variant), or a Trajectory, whose values are
-    one per orbit of its SiteOrbits; time_weights then gives the time
-    integration weights.  Each orbit's log-mass is integrated in time by one
-    max-shifted logsumexp over the snapshots; the orbits are then summed per
-    |j|^2 bin, and each ring is a contiguous range of bins.
+    e^{scale_log} times its orbit_values, one per orbit of its SiteOrbits;
+    time_weights then gives the time integration weights.  Each orbit's
+    log-mass is integrated in time by one max-shifted logsumexp over the
+    snapshots, in blocks of orbits that hold about _BLOCK_VALUES entries
+    (each orbit's sum is the same in any block); the orbits are then summed
+    per |j|^2 bin, each ring is a contiguous range of bins, and scale_log is
+    added to each ring's log.
     """
     window = u.window
     for R in R_list:
         if R + 1 >= window.M:
             raise RingOutsideWindowError(f"ring R={R} needs R+1 < M={window.M}")
     if isinstance(u, LatticeField):
-        orbits = SiteOrbits(window)
+        orbits, scale_log = SiteOrbits(window), 0.0
         log_mass = orbits.log_mass(orbits.gather(u.values))
     else:
         if time_weights is None:
             raise ValueError("space-time ring masses need time integration weights")
-        orbits = u.orbits
-        log_mass = orbits.log_mass(u.orbit_values)
+        orbits, scale_log, values = u.orbits, u.scale_log, u.orbit_values
         with np.errstate(divide="ignore"):
-            log_mass += np.log(time_weights)[:, None]
-        log_mass = logsumexp(log_mass, axis=0)
+            log_tw = np.log(time_weights)[:, None]
+        log_sizes = np.log(orbits.sizes)
+        log_mass = np.empty(orbits.count)
+        # near-equal column blocks of at least two columns: numpy adds the rows
+        # of such a block one after another, as in one block, but sums the rows
+        # of a single column pairwise
+        n_blocks = max(1, min(orbits.count // 2, -(-values.size // _BLOCK_VALUES)))
+        bounds = np.linspace(0, orbits.count, n_blocks + 1).astype(int)
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            block = log_abs_sq(values[:, lo:hi])
+            block += log_sizes[lo:hi]
+            block += log_tw
+            log_mass[lo:hi] = logsumexp(block, axis=0)
     r_sq, bin_logs = radial_log_sums(orbits, log_mass)
     out = []
     for R in R_list:
         lo = np.searchsorted(r_sq, (R - 2) ** 2, side="left")
         hi = np.searchsorted(r_sq, (R + 1) ** 2, side="right")
         total = float(logsumexp(bin_logs[lo:hi])) if hi > lo else NEG_INF
-        out.append(0.5 * total)
+        out.append(0.5 * total + scale_log)
     return out
 
 
@@ -351,7 +447,7 @@ def boundary_mass_fraction(orbit_values: np.ndarray, orbits: SiteOrbits) -> np.n
     Reported with every experiment; runs above 1e-12 * ||u||^2 are flagged so
     window-truncation error is visible instead of silent.
     """
-    shell = orbits.window.boundary_shell.ravel()[orbits.representatives]
+    shell = orbits.boundary_shell
     total = mass_sq(orbit_values, 1, orbits.sizes)
     shell_mass = mass_sq(orbit_values[..., shell], 1, orbits.sizes[shell])
     return np.divide(shell_mass, total, out=np.zeros_like(shell_mass), where=total > 0)

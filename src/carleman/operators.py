@@ -38,7 +38,7 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 
 from .errors import NonFiniteError, SupportViolationError, ToleranceExceededError
-from .lattice import LatticeWindow, laplacian_values, weighted_log_norm
+from .lattice import LatticeWindow, laplacian_values, shifted, weighted_log_norm
 from .logscalar import NEG_INF, log_cosh, log_sinh
 from .profiles import TimeProfile, WeightSpec, _glue, weight_log_magnitude
 from .quadrature import QuadratureRule, gauss_legendre
@@ -84,23 +84,6 @@ class SpaceTimeField:
 def inner(F: SpaceTimeField, G: SpaceTimeField):
     """Time-quadrature of the ell^2 pairing sum_j F_j conj(G_j)."""
     return _integral(F.grid, F.window.d, F.values * np.conj(G.values))
-
-
-def _shift(values: np.ndarray, axis: int, step: int) -> np.ndarray:
-    """out[..., j, ...] = values[..., j+step, ...] with zero padding."""
-    out = np.zeros_like(values)
-    src = [slice(None)] * values.ndim
-    dst = [slice(None)] * values.ndim
-    if step == 1:
-        src[axis] = slice(1, None)
-        dst[axis] = slice(None, -1)
-    elif step == -1:
-        src[axis] = slice(None, -1)
-        dst[axis] = slice(1, None)
-    else:
-        raise ValueError("step must be +-1")
-    out[tuple(dst)] = values[tuple(src)]
-    return out
 
 
 class OperatorCoefficients:
@@ -149,8 +132,8 @@ def apply_s(F: SpaceTimeField, co: OperatorCoefficients) -> SpaceTimeField:
     vals = 1j * F.dvalues - (2.0 * d) * F.values
     for k in range(d):
         ax = co.spatial_axis(k)
-        vals = vals + np.cosh(co.bp[k]) * _shift(F.values, ax, +1)
-        vals = vals + np.cosh(co.bm[k]) * _shift(F.values, ax, -1)
+        vals = vals + np.cosh(co.bp[k]) * shifted(F.values, ax, +1)
+        vals = vals + np.cosh(co.bm[k]) * shifted(F.values, ax, -1)
     return SpaceTimeField(F.window, F.grid, vals)
 
 
@@ -160,8 +143,8 @@ def apply_a(F: SpaceTimeField, co: OperatorCoefficients, want_derivative: bool =
     vals = -1j * co.theta * F.values
     for k in range(d):
         ax = co.spatial_axis(k)
-        vals = vals - np.sinh(co.bp[k]) * _shift(F.values, ax, +1)
-        vals = vals + np.sinh(co.bm[k]) * _shift(F.values, ax, -1)
+        vals = vals - np.sinh(co.bp[k]) * shifted(F.values, ax, +1)
+        vals = vals + np.sinh(co.bm[k]) * shifted(F.values, ax, -1)
     dvals = None
     if want_derivative:
         if F.dvalues is None:
@@ -169,11 +152,11 @@ def apply_a(F: SpaceTimeField, co: OperatorCoefficients, want_derivative: bool =
         dvals = -1j * (co.theta_dot * F.values + co.theta * F.dvalues)
         for k in range(d):
             ax = co.spatial_axis(k)
-            dvals = dvals - np.sinh(co.bp[k]) * _shift(F.dvalues, ax, +1)
-            dvals = dvals + np.sinh(co.bm[k]) * _shift(F.dvalues, ax, -1)
+            dvals = dvals - np.sinh(co.bp[k]) * shifted(F.dvalues, ax, +1)
+            dvals = dvals + np.sinh(co.bm[k]) * shifted(F.dvalues, ax, -1)
             if k == 0:
-                dvals = dvals - co.b_dot * np.cosh(co.bp[k]) * _shift(F.values, ax, +1)
-                dvals = dvals + co.b_dot * np.cosh(co.bm[k]) * _shift(F.values, ax, -1)
+                dvals = dvals - co.b_dot * np.cosh(co.bp[k]) * shifted(F.values, ax, +1)
+                dvals = dvals + co.b_dot * np.cosh(co.bm[k]) * shifted(F.values, ax, -1)
     return SpaceTimeField(F.window, F.grid, vals, dvals)
 
 
@@ -192,8 +175,8 @@ def apply_s_plus_a(F: SpaceTimeField, co: OperatorCoefficients) -> SpaceTimeFiel
     vals = 1j * F.dvalues - 1j * co.theta * F.values - (2.0 * d) * F.values
     for k in range(d):
         ax = co.spatial_axis(k)
-        vals = vals + np.exp(-co.bp[k]) * _shift(F.values, ax, +1)
-        vals = vals + np.exp(co.bm[k]) * _shift(F.values, ax, -1)
+        vals = vals + np.exp(-co.bp[k]) * shifted(F.values, ax, +1)
+        vals = vals + np.exp(co.bm[k]) * shifted(F.values, ax, -1)
     return SpaceTimeField(F.window, F.grid, vals)
 
 
@@ -217,8 +200,8 @@ def conjugation_oracle(F: SpaceTimeField, spec: WeightSpec) -> SpaceTimeField:
         shape = [1] * (d + 1)
         shape[1 + k] = 2 * M + 3
         coord = ext_axes.reshape(shape)
-        shifted = coord / R + (phi_t if k == 0 else np.longdouble(0.0))
-        W_ext = W_ext + shifted**2
+        moved = coord / R + (phi_t if k == 0 else np.longdouble(0.0))
+        W_ext = W_ext + moved**2
     W_ext = alpha * W_ext
     core = (slice(None),) + (slice(1, -1),) * d
     W = W_ext[core]
@@ -235,8 +218,8 @@ def conjugation_oracle(F: SpaceTimeField, spec: WeightSpec) -> SpaceTimeField:
         sl_minus[1 + k] = slice(None, -2)
         delta_plus = W - W_ext[tuple(sl_plus)]
         delta_minus = W - W_ext[tuple(sl_minus)]
-        out = out + np.exp(delta_plus) * _shift(vals_ld, k - d, +1)
-        out = out + np.exp(delta_minus) * _shift(vals_ld, k - d, -1)
+        out = out + np.exp(delta_plus) * shifted(vals_ld, k - d, +1)
+        out = out + np.exp(delta_minus) * shifted(vals_ld, k - d, -1)
     return SpaceTimeField(window, grid, out.astype(complex))
 
 
@@ -295,12 +278,12 @@ def commutator_quadratic_form(f: SpaceTimeField, co: OperatorCoefficients):
     for k in range(d):
         ax = co.spatial_axis(k)
         t1_density += np.sinh(co.a0[k]) ** 2 * mag_sq
-        centered = 0.5 * (_shift(f.values, ax, +1) - _shift(f.values, ax, -1))
+        centered = 0.5 * (shifted(f.values, ax, +1) - shifted(f.values, ax, -1))
         t2_density += np.abs(centered) ** 2
     term1 = 4.0 * sinh_front * _integral(grid, d, t1_density)
     term2 = 4.0 * sinh_front * _integral(grid, d, t2_density)
     term3 = _integral(grid, d, co.theta_dot * mag_sq)
-    im_hop = np.imag(_shift(f.values, co.spatial_axis(0), +1) * np.conj(f.values))
+    im_hop = np.imag(shifted(f.values, co.spatial_axis(0), +1) * np.conj(f.values))
     t4_density = (8.0 * spec.alpha / spec.R) * co.phi_d1 * np.cosh(co.bp[0]) * im_hop
     term4 = _integral(grid, d, t4_density)
     return term1 + term2 + term3 + term4
@@ -332,7 +315,7 @@ def _draw(window: LatticeWindow, rng) -> tuple:
     values."""
     coeffs = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     h = rng.standard_normal(window.shape) + 1j * rng.standard_normal(window.shape)
-    return P.polymul(_BUMP, coeffs), h
+    return np.convolve(_BUMP, coeffs), h
 
 
 def _tensor_field(window: LatticeWindow, grid: QuadratureRule, psi: np.ndarray, h: np.ndarray,
@@ -618,51 +601,68 @@ def admissible_site_mask(spec: WeightSpec, window: LatticeWindow) -> tuple:
     return hard, ramp
 
 
-def carleman_ratio(spec: WeightSpec, g: SpaceTimeField):
+def _ratio_parts(spec: WeightSpec, window: LatticeWindow, grid: QuadratureRule) -> tuple:
+    """What carleman_ratio needs besides g, the same for every trial: (the
+    hard admissibility mask, the smooth ramp, the log weight on the grid, the
+    log of the sinh factor)."""
+    d = window.d
+    hard, ramp = admissible_site_mask(spec, window)
+    coords = [window.coordinate(k).astype(float) for k in range(d)]
+    phi_t = np.asarray(spec.phi.value(grid.nodes)).reshape((len(grid.nodes),) + (1,) * d)
+    log_w = weight_log_magnitude(spec, coords, phi_t)
+    factor_log = 0.5 * log_sinh(2.0 * spec.alpha / spec.R**2) + log_sinh(
+        2.0 * spec.alpha / (math.sqrt(spec.d) * spec.R))
+    return hard, ramp, log_w, factor_log
+
+
+def carleman_ratio(spec: WeightSpec, g: SpaceTimeField, parts: tuple | None = None,
+                   total: np.ndarray | None = None):
     """Smallest admissible constant for this g in the weighted inequality:
 
         sqrt(sinh(2a/R^2)) sinh(2a/(sqrt(d) R)) ||W g|| <= c ||W (i d_t + Delta_d) g||
 
     returns c_g (one per trial for a batch of g); weighted norms are evaluated
     wholly in the log domain.  At most 1e-14 of g's mass may lie off the
-    admissible sites.
+    admissible sites.  parts (_ratio_parts of spec, g's window and grid) and
+    total (g's _mass) are computed here unless the caller passes them.
     """
-    window, grid = g.window, g.grid
-    d = window.d
-    hard, _ = admissible_site_mask(spec, window)
-    total = np.sum(np.abs(g.values) ** 2, axis=tuple(range(-(d + 1), 0)))
+    d, weights = g.window.d, g.grid.weights
+    hard, _, log_w, factor_log = parts or _ratio_parts(spec, g.window, g.grid)
+    total = _mass(g) if total is None else total
     if np.any(total == 0.0):
         raise SupportViolationError("g vanishes identically")
     bad = np.sum(np.abs(g.values[..., ~hard]) ** 2, axis=(-2, -1)) / total
     if np.any(bad > 1e-14):
         raise SupportViolationError(f"relative mass {np.max(bad):.3e} outside the admissible set")
-    coords = [window.coordinate(k).astype(float) for k in range(d)]
-    phi_t = np.asarray(spec.phi.value(grid.nodes)).reshape((len(grid.nodes),) + (1,) * d)
-    log_w = weight_log_magnitude(spec, coords, phi_t)
     pg = 1j * g.dvalues + laplacian_values(g.values.astype(complex, copy=True), d)
-    log_wg = weighted_log_norm(g.values, log_w, d, grid.weights)
-    log_wpg = weighted_log_norm(pg, log_w, d, grid.weights)
+    log_wg = weighted_log_norm(g.values, log_w, d, weights)
+    log_wpg = weighted_log_norm(pg, log_w, d, weights)
     if np.any(log_wpg == NEG_INF):
         raise SupportViolationError("(i d_t + Delta_d) g vanishes; ratio undefined")
-    factor_log = 0.5 * log_sinh(2.0 * spec.alpha / spec.R**2) + log_sinh(
-        2.0 * spec.alpha / (math.sqrt(spec.d) * spec.R))
     return np.exp(factor_log + log_wg - log_wpg)[()]
+
+
+def _mass(g: SpaceTimeField) -> np.ndarray:
+    """sum |g|^2 over the time nodes and the sites, per trial."""
+    return np.sum(np.abs(g.values) ** 2, axis=tuple(range(-(g.window.d + 1), 0)))
 
 
 def carleman_constant_batch(spec: WeightSpec, window: LatticeWindow, trials: int, seed: int,
                             n_nodes: int = 24) -> dict:
     """Empirical Carleman constant: max of carleman_ratio over random
-    admissible g; trials whose g vanishes identically are skipped."""
+    admissible g; trials whose g vanishes identically are skipped.  The
+    admissible mask, the log weight and the sinh factor are built once per
+    batch, and each block's mass once."""
     grid = make_time_grid(n_nodes)
-    _, ramp = admissible_site_mask(spec, window)
-    all_axes = tuple(range(-(window.d + 1), 0))
+    parts = _ratio_parts(spec, window, grid)
     ratios = []
     for block in _trial_blocks(trials, grid, window):
-        (g,) = _trial_fields(window, grid, seed, block, support_margin=2, site_mask=ramp)
-        keep = np.sum(np.abs(g.values) ** 2, axis=all_axes) != 0.0
+        (g,) = _trial_fields(window, grid, seed, block, support_margin=2, site_mask=parts[1])
+        total = _mass(g)
+        keep = total != 0.0
         if np.any(keep):
             g = SpaceTimeField(window, grid, g.values[keep], g.dvalues[keep])
-            ratios.extend(carleman_ratio(spec, g).tolist())
+            ratios.extend(carleman_ratio(spec, g, parts, total[keep]).tolist())
     if not ratios:
         raise SupportViolationError("no admissible trial fields were generated")
     return {"c_emp": max(ratios), "ratios": ratios, "trials": trials, "seed": seed,

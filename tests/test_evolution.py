@@ -198,6 +198,58 @@ def test_observation_scaling_homogeneity():
         4.0 * observation_integral(traj), rel=1e-12)
 
 
+def test_normalized_trajectory_shares_the_stored_values():
+    window, cfg = free_config(M=16, dt=2e-3)
+    traj = evolve(LatticeField.delta(window), cfg)
+    normed = normalize_observation(traj)
+    assert np.shares_memory(normed.orbit_values, traj.orbit_values)
+    assert normed.scale_log == math.log(1.0 / math.sqrt(observation_integral(traj)))
+    # the factor rides along in the unfolded snapshots and the norm logs
+    factor = math.exp(normed.scale_log)
+    assert np.allclose(normed.values[-1], factor * traj.values[-1], rtol=1e-15, atol=0.0)
+    assert np.allclose(normed.norm_logs, traj.norm_logs + normed.scale_log, rtol=0.0, atol=1e-14)
+
+
+def test_normalizing_twice_moves_scale_log_by_rounding_only():
+    window, cfg = free_config(M=24, dt=1e-3)
+    once = normalize_observation(evolve(LatticeField.delta(window), cfg))
+    twice = normalize_observation(once)
+    assert abs(twice.scale_log - once.scale_log) <= 1e-12
+
+
+@pytest.mark.parametrize("factor", [0.0, -2.0, -0.5, float("nan")])
+def test_scaled_rejects_a_factor_that_is_not_positive(factor):
+    window, cfg = free_config(M=8, dt=1e-2)
+    traj = evolve(LatticeField.delta(window), cfg)
+    with pytest.raises(ValueError):
+        traj.scaled(factor)
+
+
+def test_ring_scan_of_a_normalized_trajectory_stays_below_its_stored_values():
+    # d = 2, M = 32, every step stored: 101 nodes x 561 orbits, 0.91 MB of
+    # orbit values.  Normalizing once copied them and the ring scan held
+    # (nodes x orbits) float temporaries, 1.9 MB at peak; now the normalized
+    # trajectory shares them and the scan reduces them in column blocks
+    # (0.60 MB at peak)
+    import tracemalloc
+
+    from carleman.experiments import ExperimentConfig, lambda_scan
+
+    window = LatticeWindow(2, 32)
+    cfg = EvolutionConfig(dt=1e-2, T=1.0, window=window, potential=Potential.alternating(window),
+                          store_every=1)
+    traj = evolve(LatticeField.delta(window), cfg)
+    assert traj.n_stored == 101
+    tracemalloc.start()
+    try:
+        scan = lambda_scan(normalize_observation(traj), ExperimentConfig(R_list=range(8, 29)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "fits" in scan
+    assert peak < traj.orbit_values.nbytes, peak
+
+
 def test_zero_observation_raises():
     window, cfg = free_config(M=16, dt=2e-3)
     traj = evolve(LatticeField.delta(window), cfg)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -197,3 +198,118 @@ def test_log_mass_leaves_the_orbit_values_alone():
     out = orbits.log_mass(vals)
     assert np.array_equal(vals, before)
     assert np.array_equal(out, log_abs_sq(before) + np.log(orbits.sizes))
+
+
+# --- SiteOrbits built from its representatives, against the window-wide build --
+
+def window_wide_layout(orbits):
+    """(representatives, site_orbit) the window-wide way: every site's
+    canonical key from np.indices, and np.unique over their flat indices."""
+    w = orbits.window
+    key = np.indices(w.shape) - w.M
+    for k in orbits.folded:
+        key[k] = np.abs(key[k])
+    classes = [{k} for k in orbits.folded]
+    for k, l in orbits.swapped:
+        a, b = (next(c for c in classes if axis in c) for axis in (k, l))
+        if a is not b:
+            a |= b
+            classes.remove(b)
+    for axes in (sorted(c) for c in classes if len(c) > 1):
+        key[axes] = np.sort(key[axes], axis=0)[::-1]
+    flat = np.ravel_multi_index(tuple(key + w.M), w.shape).ravel()
+    representatives, site_orbit = np.unique(flat, return_inverse=True)
+    return representatives, site_orbit.reshape(w.shape)
+
+
+def window_wide_quotient_laplacian(orbits, representatives, site_orbit):
+    import scipy.sparse as sp
+
+    window, n = orbits.window, representatives.size
+    reps = np.unravel_index(representatives, window.shape)
+    rows, cols = [np.arange(n)], [np.arange(n)]
+    for k in range(window.d):
+        for shift in (-1, 1):
+            moved = reps[k] + shift
+            inside = (moved >= 0) & (moved <= 2 * window.M)
+            rows.append(np.flatnonzero(inside))
+            cols.append(site_orbit[tuple(moved[inside] if axis == k else c[inside]
+                                         for axis, c in enumerate(reps))])
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    return sp.csc_matrix((np.where(rows == cols, -2.0 * window.d, 1.0), (rows, cols)),
+                         shape=(n, n))
+
+
+def reflection_swap_subgroups(d):
+    """Every (folded, swapped) pair: a set of reflected axes and a set of
+    pairs of them to swap."""
+    for n in range(d + 1):
+        for folded in itertools.combinations(range(d), n):
+            pairs = list(itertools.combinations(folded, 2))
+            for m in range(len(pairs) + 1):
+                for swapped in itertools.combinations(pairs, m):
+                    yield folded, swapped
+
+
+@pytest.mark.parametrize("d, M", [(1, 5), (2, 5), (3, 4), (4, 3)])
+def test_site_orbits_match_the_window_wide_build(d, M):
+    from carleman.evolution import quotient_laplacian
+
+    window = LatticeWindow(d, M)
+    r_sq = window.radius_sq.ravel()
+    for folded, swapped in reflection_swap_subgroups(d):
+        orbits = SiteOrbits(window, folded, swapped)
+        representatives, site_orbit = window_wide_layout(orbits)
+        assert np.array_equal(orbits.representatives, representatives), (folded, swapped)
+        assert np.array_equal(orbits.site_orbit, site_orbit)
+        assert np.array_equal(orbits.sizes,
+                              np.bincount(site_orbit.ravel(), minlength=orbits.count)
+                              .astype(float))
+        order = np.argsort(r_sq[representatives], kind="stable")
+        want = (order,) + np.unique(r_sq[representatives][order], return_index=True,
+                                    return_counts=True)
+        for got, wanted in zip(orbits.radial_bins, want):
+            assert np.array_equal(got, wanted)
+        assert np.array_equal(orbits.boundary_shell,
+                              (window.inf_norm > window.M - 2).ravel()[representatives])
+        lap = quotient_laplacian(orbits)
+        oracle = window_wide_quotient_laplacian(orbits, representatives, site_orbit)
+        assert (lap != oracle).nnz == 0 and lap.nnz == oracle.nnz
+
+
+def test_building_site_orbits_stays_at_quotient_size():
+    # d = 3, M = 32, every reflection and swap: 274625 sites, 6545 orbits.  The
+    # window-wide build (np.indices, a sorted key, np.unique) peaked at 20 MB;
+    # built from the representatives, everything a scan reads takes 0.65 MB
+    import tracemalloc
+
+    window = LatticeWindow(3, 32)
+    tracemalloc.start()
+    try:
+        orbits = SiteOrbits(window, (0, 1, 2), ((0, 1), (0, 2), (1, 2)))
+        orbits.representatives, orbits.sizes, orbits.radial_bins, orbits.boundary_shell
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert orbits.count == math.comb(32 + 3, 3)
+    assert peak < 2e6, peak
+
+
+def test_ring_mass_blocks_match_one_block_bit_for_bit(monkeypatch):
+    from carleman import lattice
+    from carleman.evolution import Trajectory
+
+    window = LatticeWindow(2, 40)
+    orbits = SiteOrbits(window, (0, 1), ((0, 1),))
+    rng = np.random.default_rng(8)
+    n_time = 21
+    vals = rng.standard_normal((n_time, orbits.count)) + 1j * rng.standard_normal((n_time, orbits.count))
+    vals *= np.exp(-rng.uniform(0.0, 300.0, orbits.count))
+    vals[4, :7] = 0.0
+    traj = Trajectory(orbits, np.linspace(0.0, 1.0, n_time), vals, np.zeros(n_time), config=None)
+    R_list = tuple(float(R) for R in range(3, 39))
+    whole = ring_masses(traj, R_list, time_weights=traj.time_weights())
+    assert vals.size <= lattice._BLOCK_VALUES  # one block
+    for budget in (1 << 10, 1000, n_time):  # 18, 19 and 430 blocks
+        monkeypatch.setattr(lattice, "_BLOCK_VALUES", budget)
+        assert ring_masses(traj, R_list, time_weights=traj.time_weights()) == whole

@@ -240,7 +240,7 @@ def full_window_boundary_mass(traj):
     window = traj.window
     mass = np.abs(traj.values) ** 2
     total = mass.reshape(len(mass), -1).sum(axis=1)
-    shell = mass[:, window.boundary_shell].sum(axis=1)
+    shell = mass[:, window.inf_norm > window.M - 2].sum(axis=1)
     return float(np.max(shell / total))
 
 
