@@ -19,10 +19,11 @@ parameters (_Derived) is evaluated after them.  The bodies hold no defaults,
 and the manifest's config is the full resolved parameter set, so its
 input_hash is the same for a flag that equals its default and for no flag at
 all.  A parameter that the chosen mode never reads (_UNREAD_IN_MODE: the
-evolution and datum flags of lambda-scan --field-from, the tolerance of
-logconvexity at L > 0) is a config error when set by flag or config.  So is
-an empty R list; potential-scan over fewer than two R reports VACUOUS, since
-"exact-equal across R" cannot fail there.
+evolution and datum flags of lambda-scan --field-from, --L among them, the
+tolerance of logconvexity at L > 0) is a config error when set by flag or
+config.  So is an empty R list; potential-scan over fewer than two R reports
+VACUOUS, since "exact-equal across R" cannot fail there.  The scans evolve
+over [0, 1], where their time windows lie, with sup|V| = L.
 
 A body gets the resolved parameters and the run's RunManifest, the single
 record of the run: it names, writes and lists the outputs, holds the CN
@@ -138,10 +139,8 @@ _PHI = _choice(*sorted(_PROFILES))
 def _evolution_params(M: int, store_every: int) -> dict:
     return {"d": _D, "M": (M, int, "window half-width"),
             "dt": (1e-3, float, "Crank-Nicolson time step"),
-            "T": (1.0, float, "final time"),
-            "potential": ("none", _choice("none", "alternating"), "potential kind"),
-            "L": (0.0, float, "potential sup bound; amplitude of the alternating potential "
-                              "(1 when L is 0)"),
+            "L": (0.0, float, "sup|V| of the potential V_j = L(-1)^(j_1+...+j_d), >= 0; "
+                              "0 evolves freely"),
             "store_every": (store_every, int, "keep every n-th step")}
 
 
@@ -149,19 +148,20 @@ _DATUM = {"datum": ("delta", _choice("delta", "bessel_like", "gaussian"), "initi
           "mu": (1.0, float, "decay rate of the bessel_like or gaussian datum")}
 
 
-def _evolved(p, datum: tuple, run):
-    """The Trajectory of the datum evolved under the _evolution_params values;
-    run.stats gets the CN solver stats, the norm drift and the boundary mass
-    with its flag."""
+def _evolved(p, datum: tuple, run, grid_check=None, T: float = 1.0):
+    """The Trajectory of the datum evolved over [0, T] under the
+    _evolution_params values, grid_check(stored times) first; run.stats gets
+    the CN solver stats, the norm drift and the boundary mass with its flag."""
     from .evolution import EvolutionConfig, evolve, make_decaying_datum
     from .lattice import LatticeWindow, Potential
     if p.L < 0:
         raise ValueError("A and L must be nonnegative")
     window = LatticeWindow(p.d, p.M)
-    potential = (Potential.alternating(window, amplitude=p.L if p.L > 0 else 1.0)
-                 if p.potential == "alternating" else Potential.zero(window))
-    cfg = EvolutionConfig(dt=p.dt, T=p.T, window=window, potential=potential,
+    potential = Potential.alternating(window, amplitude=p.L) if p.L > 0 else Potential.zero(window)
+    cfg = EvolutionConfig(dt=p.dt, T=T, window=window, potential=potential,
                           store_every=p.store_every)
+    if grid_check:
+        grid_check(cfg.times)
     traj = evolve(make_decaying_datum(window, datum), cfg)
     boundary = traj.boundary_mass()
     run.stats = {**traj.solver_stats, "norm_drift": traj.norm_drift(),
@@ -177,7 +177,7 @@ def _evolved(p, datum: tuple, run):
 
 def _run_evolve(p, run) -> None:
     from .fieldio import write_trajectory
-    traj = _evolved(p, (p.datum, p.mu), run)
+    traj = _evolved(p, (p.datum, p.mu), run, T=p.T)
     run.add(*write_trajectory(run.path(), traj))
     drift = run.stats["norm_drift"]
     run.check(drift < 1e-10, "norm_conservation",
@@ -284,8 +284,8 @@ def _run_lambda_scan(p, run) -> None:
         source = LatticeField(window, values.astype(complex))
     else:
         check_rings(p.R_list, p.M)  # the evolution's window is M's: fail before it runs
-        from .evolution import normalize_observation
-        source = normalize_observation(_evolved(p, (p.datum, p.mu), run))
+        from .evolution import normalize_observation, observation_nodes
+        source = normalize_observation(_evolved(p, (p.datum, p.mu), run, observation_nodes))
     scan = xp.lambda_scan(source, cfg)
     rows = [(r.R, r.log_lambda, r.alpha, r.log_lhs_growth, r.pass_absorption, r.boundary_mass)
             for r in scan["rows"]]
@@ -303,7 +303,7 @@ def _run_lambda_scan(p, run) -> None:
 def _run_logconvexity(p, run) -> None:
     from . import experiments as xp
     grid = xp.beta_grid(p.beta_max, p.d)  # before the evolution: it raises for d > 2
-    traj = _evolved(p, ("delta",), run)
+    traj = _evolved(p, ("delta",), run, xp.interior_indices)
     cfg = xp.ExperimentConfig(L=p.L)
     check = xp.log_convexity_check(traj, grid, cfg)
     rows = [(",".join(repr(b) for b in r["beta"]), r["t"], r["log_rho"]) for r in check["rows"]]
@@ -454,7 +454,8 @@ def _run_report(p, run) -> None:
 # subcommand -> (help, parameter table, tolerance defaults, body)
 _SUBCOMMANDS = {
     "evolve": ("integrate a datum and export the trajectory",
-               {**_RUN, **_evolution_params(34, 10), **_DATUM}, {}, _run_evolve),
+               {**_RUN, **_evolution_params(34, 10), "T": (1.0, float, "final time"),
+                **_DATUM}, {}, _run_evolve),
     "carleman-check": (
         "empirical weighted-inequality constant: calibration batch + held-out batch",
         {**_RUN, "d": _D, "R": (10.0, float, "weight radius"),
@@ -532,7 +533,7 @@ _SUBCOMMANDS = {
 # or config, in that mode is a config error
 _UNREAD_IN_MODE = {
     "lambda-scan": (lambda p: p["field_from"] is not None, "--field-from",
-                    ("d", "M", "dt", "T", "potential", "store_every", "datum", "mu")),
+                    ("d", "M", "dt", "L", "store_every", "datum", "mu")),
     "logconvexity": (lambda p: p["L"] > 0, "--L > 0", ("tolerance",)),
 }
 

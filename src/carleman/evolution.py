@@ -176,7 +176,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SolverDivergenceError, ZeroObservationError
+from .errors import ConfigError, SolverDivergenceError, ZeroObservationError
 from .lattice import (LatticeField, LatticeWindow, Potential, SiteOrbits, boundary_mass_fraction,
                       mass_sq, star_log_weight)
 
@@ -246,6 +246,16 @@ class EvolutionConfig:
     def n_steps(self) -> int:
         return round(self.T / self.dt)
 
+    @property
+    def stored_steps(self) -> np.ndarray:
+        """The step of each stored node: every store_every-th, and the last."""
+        return np.union1d(np.arange(0, self.n_steps, self.store_every), self.n_steps)
+
+    @property
+    def times(self) -> np.ndarray:
+        """The stored nodes' times, known before any step."""
+        return self.stored_steps * self.dt
+
     def potential_hash(self) -> str:
         return hashlib.sha256(np.ascontiguousarray(self.potential.values).tobytes()).hexdigest()
 
@@ -291,15 +301,23 @@ class Trajectory:
         return len(self.times)
 
     def time_weights(self) -> np.ndarray:
-        """Composite Simpson weights on the stored uniform grid."""
-        return _simpson_weights(len(self.times), float(self.times[1] - self.times[0]))
+        """Composite Simpson weights on the stored nodes, h = times[1] -
+        times[0] apart but for a shorter last interval (store_every not
+        dividing the step count), which gets the trapezoid."""
+        t = self.times
+        h, tail = float(t[1] - t[0]), float(t[-1] - t[-2])
+        if math.isclose(tail, h, rel_tol=1e-9):
+            return _simpson_weights(len(t), h)
+        w = np.append(_simpson_weights(len(t) - 1, h), 0.0)
+        w[-2:] += 0.5 * tail
+        return w
 
     def boundary_mass(self) -> float:
         """The largest boundary_mass_fraction over the stored snapshots."""
         return float(np.max(boundary_mass_fraction(self.orbit_values, self.orbits)))
 
     def norm_drift(self) -> float:
-        return float(np.max(np.abs(np.exp(self.norm_logs - self.norm_logs[0]) - 1.0)))
+        return float(np.max(np.abs(np.expm1(self.norm_logs - self.norm_logs[0]))))
 
     def scaled(self, factor: float) -> "Trajectory":
         """The trajectory times factor > 0, sharing orbit_values (a log
@@ -501,10 +519,7 @@ def evolve(u0: LatticeField, cfg: EvolutionConfig) -> Trajectory:
     window = cfg.window
     if u0.window != window:
         raise ValueError("datum window != config window")
-    n_steps = cfg.n_steps
-    nodes = np.arange(0, n_steps + 1, cfg.store_every)
-    if nodes[-1] != n_steps:
-        nodes = np.append(nodes, n_steps)
+    nodes = cfg.stored_steps
     norm_logs = np.empty(len(nodes))
     schedule = _block_schedule([int(g) for g in np.diff(nodes)],
                                _MAX_BLOCK_STEPS_D1 if window.d == 1 else 1)
@@ -528,7 +543,7 @@ def evolve(u0: LatticeField, cfg: EvolutionConfig) -> Trajectory:
                     "folded_axes": list(orbits.folded),
                     "swapped_axes": [list(pair) for pair in orbits.swapped],
                     "quotient_sites": orbits.count}
-    return Trajectory(orbits, nodes * cfg.dt, orbit_values, norm_logs, cfg,
+    return Trajectory(orbits, cfg.times, orbit_values, norm_logs, cfg,
                       solver_stats=solver_stats)
 
 
@@ -560,14 +575,21 @@ def make_decaying_datum(window: LatticeWindow, profile: tuple) -> LatticeField:
     return LatticeField.from_values(window, vals)
 
 
+def observation_nodes(times: np.ndarray) -> np.ndarray:
+    """The mask of the stored times inside [3/8, 5/8]; Simpson over fewer
+    than 3 of them is a config error."""
+    sel = (times >= 0.375 - 1e-12) & (times <= 0.625 + 1e-12)
+    if np.count_nonzero(sel) < 3:
+        raise ConfigError(f"too few stored nodes inside [3/8, 5/8]: {np.count_nonzero(sel)} "
+                          f"of {len(times)}, Simpson's rule needs 3")
+    return sel
+
+
 def observation_integral(traj: Trajectory) -> float:
     """The normalization functional int_{3/8}^{5/8} |u_{j=0}(t)|^2 dt, with
     the paper's "u(0,t)" read as the lattice site j = 0."""
-    t = traj.times
-    sel = (t >= 0.375 - 1e-12) & (t <= 0.625 + 1e-12)
-    if np.count_nonzero(sel) < 3:
-        raise ZeroObservationError("too few stored nodes inside [3/8, 5/8]")
-    sub_t = t[sel]
+    sel = observation_nodes(traj.times)
+    sub_t = traj.times[sel]
     origin = traj.orbits.orbit_of(np.zeros(traj.window.d, dtype=int))  # its own orbit
     series = np.abs(traj.orbit_values[sel, origin]) ** 2
     w = _simpson_weights(len(sub_t), float(sub_t[1] - sub_t[0]))

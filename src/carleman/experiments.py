@@ -19,7 +19,8 @@ from .errors import ConfigError
 from .fitting import best_model
 from .lattice import (LatticeField, SiteOrbits, boundary_mass_fraction, radial_log_sums,
                       ring_masses, star_log_weight)
-from .logscalar import NEG_INF, log_abs_sq, log_sinh, logsumexp
+from .logscalar import NEG_INF, log_abs_sq, logsumexp
+from .profiles import sinh_factor_log
 
 if TYPE_CHECKING:  # annotations only: a scan reads a trajectory without evolution code
     from .evolution import Trajectory
@@ -81,8 +82,7 @@ def lambda_scan(source, cfg: ExperimentConfig) -> dict:
         log_growth = growth_factor_log(c, R, d)
         # absorption of the A-term: the e^{alpha(2+1/R)^2} scale cancels, so
         # the condition is sinh-product >= 2 c_d A, with c_d = 1
-        sinh_log = 0.5 * log_sinh(2.0 * c * math.log(R) / R) + log_sinh(2.0 * c * math.log(R) / math.sqrt(d))
-        absorbed = (cfg.A == 0.0) or sinh_log >= math.log(2.0 * cfg.A)
+        absorbed = (cfg.A == 0.0) or sinh_factor_log(alpha, R, d) >= math.log(2.0 * cfg.A)
         return ScanRow(
             R=float(R),
             log_lambda=log_lam,
@@ -109,13 +109,14 @@ def lambda_scan(source, cfg: ExperimentConfig) -> dict:
     return out
 
 
-def _interior_indices(traj: Trajectory, n_times: int = 9) -> list:
+def interior_indices(times: np.ndarray, n_times: int = 9) -> list:
     """The stored nodes nearest to n_times interior times in [0.1, 0.9]; an
-    endpoint among them would compare a snapshot with itself, so it raises."""
+    endpoint among them would compare a snapshot with itself, so it is a
+    config error, found from the stored times before any step."""
     targets = np.linspace(0.1, 0.9, n_times)
-    idxs = [int(np.argmin(np.abs(traj.times - t))) for t in targets]
-    if 0 in idxs or traj.n_stored - 1 in idxs:
-        raise ValueError(f"an interior time lands on an endpoint of {traj.n_stored} stored nodes")
+    idxs = [int(np.argmin(np.abs(times - t))) for t in targets]
+    if 0 in idxs or len(times) - 1 in idxs:
+        raise ConfigError(f"an interior time lands on an endpoint of {len(times)} stored nodes")
     return idxs
 
 
@@ -138,7 +139,7 @@ def _log_rho(traj: Trajectory, beta_list) -> tuple:
     at each of those nodes and each beta, (n_times, n_betas)).  The
     snapshots read are unfolded one at a time into one window buffer."""
     window, snapshots = traj.window, traj.values
-    idxs = _interior_indices(traj)
+    idxs = interior_indices(traj.times)
     betas = [np.atleast_1d(np.asarray(b, dtype=float)) for b in beta_list]
     betas = np.array(betas).reshape(len(betas), window.d)
     per_axis = [np.unique(betas[:, k], return_inverse=True) for k in range(window.d)]
@@ -243,7 +244,7 @@ def star_weight_sup_log_rho(traj: Trajectory, mu_grid) -> np.ndarray:
 
     r_sq, first = bins(0)
     last = bins(-1)[1]
-    inner = np.array([bins(i)[1] for i in _interior_indices(traj)])
+    inner = np.array([bins(i)[1] for i in interior_indices(traj.times)])
     r = np.sqrt(r_sq)
     w = star_log_weight(r, 2.0 * np.asarray(mu_grid, dtype=float)[:, None])
     den = logsumexp(w + np.logaddexp(first, last))

@@ -40,7 +40,7 @@ from numpy.polynomial import polynomial as P
 from .errors import NonFiniteError, SupportViolationError, ToleranceExceededError
 from .lattice import LatticeWindow, laplacian_values, shifted, weighted_log_norm
 from .logscalar import NEG_INF, log_cosh, log_sinh
-from .profiles import TimeProfile, WeightSpec, _glue, weight_log_magnitude
+from .profiles import TimeProfile, WeightSpec, _glue, sinh_factor_log, weight_log_magnitude
 from .quadrature import QuadratureRule, gauss_legendre
 
 # Entries of one (trials, T, *window.shape) field array in a block of trials:
@@ -554,11 +554,11 @@ def minimal_hiding_constant(d: int, R: float, phi: TimeProfile, s_grid) -> dict:
 
 
 def absorption_threshold(alpha: float, R: float, L: float, d: int) -> bool:
-    """sinh(2a/R^2) sinh^2(2a/(sqrt(d) R)) >= L^2, evaluated in log domain."""
+    """sinh(2a/R^2) sinh^2(2a/(sqrt(d) R)) >= L^2, evaluated in log domain
+    as the square root: sinh_factor_log >= log L."""
     if min(alpha, R, L) <= 0 or d < 1:
         raise ValueError("all arguments must be positive")
-    lhs = log_sinh(2.0 * alpha / R**2) + 2.0 * log_sinh(2.0 * alpha / (math.sqrt(d) * R))
-    return bool(lhs >= 2.0 * math.log(L))
+    return bool(sinh_factor_log(alpha, R, d) >= math.log(L))
 
 
 def phi_rate_scan(phi_growth: str, c: float, L: float, d: int, R_list) -> list:
@@ -610,9 +610,7 @@ def _ratio_parts(spec: WeightSpec, window: LatticeWindow, grid: QuadratureRule) 
     coords = [window.coordinate(k).astype(float) for k in range(d)]
     phi_t = np.asarray(spec.phi.value(grid.nodes)).reshape((len(grid.nodes),) + (1,) * d)
     log_w = weight_log_magnitude(spec, coords, phi_t)
-    factor_log = 0.5 * log_sinh(2.0 * spec.alpha / spec.R**2) + log_sinh(
-        2.0 * spec.alpha / (math.sqrt(spec.d) * spec.R))
-    return hard, ramp, log_w, factor_log
+    return hard, ramp, log_w, sinh_factor_log(spec.alpha, spec.R, spec.d)
 
 
 def carleman_ratio(spec: WeightSpec, g: SpaceTimeField, parts: tuple | None = None,

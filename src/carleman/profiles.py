@@ -15,6 +15,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .logscalar import log_sinh
+
 _PHI_PLATEAU = 3.0
 _GOLD = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -167,3 +169,11 @@ def weight_log_magnitude(spec: WeightSpec, coords, phi_t) -> np.ndarray:
     for k in range(1, spec.d):
         total = total + (coords[k] / spec.R) ** 2
     return spec.alpha * total
+
+
+def sinh_factor_log(alpha: float, R: float, d: int) -> float:
+    """log of sqrt(sinh(2 alpha/R^2)) sinh(2 alpha/(sqrt(d) R)), the factor
+    in front of ||W g|| in the weighted inequality; the absorption threshold
+    compares it with log L, and lambda_scan's absorption of the A-term with
+    log(2A)."""
+    return 0.5 * log_sinh(2.0 * alpha / R**2) + log_sinh(2.0 * alpha / (math.sqrt(d) * R))

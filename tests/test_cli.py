@@ -6,6 +6,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from carleman import cli
@@ -22,8 +23,7 @@ RUNS = {
     "commutator-check": ["--trials", "5"],
     "counterexample": ["--R", "8", "--margin", "8"],
     "lambda-scan": ["--d", "2", "--M", "12", "--dt", "1e-2", "--R-list", "4..9"],
-    "logconvexity": ["--d", "2", "--M", "10", "--dt", "1e-2", "--L", "1",
-                     "--potential", "alternating"],
+    "logconvexity": ["--d", "2", "--M", "10", "--dt", "1e-2", "--L", "1"],
     "threshold-scan": ["--d", "2", "--R-list", "4..9"],
 }
 # files each run lists in its manifest
@@ -307,11 +307,52 @@ def test_flag_the_subcommand_does_not_read_exits_2(argv, tmp_path, capsys):
 @pytest.mark.parametrize("subcommand", ["evolve", "lambda-scan", "logconvexity"])
 def test_negative_l_exits_2_before_evolving(subcommand, tmp_path, capsys):
     # a negative sup bound used to run as L = 0 (amplitude 1) and exit 0
-    argv = [subcommand, "--potential", "alternating", "--L", "-2", "--M", "6", "--dt", "1e-2",
-            "--out", str(tmp_path)]
+    argv = [subcommand, "--L", "-2", "--M", "6", "--dt", "1e-2", "--out", str(tmp_path)]
     assert main(argv) == 2
     assert capsys.readouterr().err == "error: A and L must be nonnegative\n"
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("subcommand, flag, value", [
+    ("evolve", "potential", "alternating"), ("lambda-scan", "potential", "alternating"),
+    ("logconvexity", "potential", "none"),
+    # the scans evolve over [0, 1], where their time windows are defined
+    ("lambda-scan", "T", "0.5"), ("logconvexity", "T", "2"),
+])
+def test_removed_evolution_flags_are_refused(subcommand, flag, value, tmp_path, capsys):
+    assert main([subcommand, f"--{flag}", value, "--out", str(tmp_path)]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({flag: value}))
+    assert main([subcommand, "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"config error: unknown config key: {flag}\n"
+
+
+@pytest.mark.parametrize("L", [0.0, 0.5])
+@pytest.mark.parametrize("subcommand", ["evolve", "lambda-scan", "logconvexity"])
+def test_l_is_the_sup_of_the_evolved_potential(subcommand, L, tmp_path, capsys, monkeypatch):
+    # --L used to be a separate setting from the potential it evolved: with
+    # --potential alternating alone, logconvexity evolved |V| = 1 under the
+    # free-evolution gate, and with --L alone it evolved freely
+    import carleman.evolution
+
+    evolve, evolved = carleman.evolution.evolve, []
+
+    def spy(u0, cfg):
+        evolved.append(cfg.potential.values)
+        return evolve(u0, cfg)
+
+    monkeypatch.setattr(carleman.evolution, "evolve", spy)
+    flags = ["--d", "2", "--M", "10", "--dt", "1e-2", "--L", str(L)]
+    if subcommand == "lambda-scan":
+        flags += ["--R-list", "4..8"]
+    doc = manifest_of(subcommand, tmp_path, *flags)
+    (values,) = evolved
+    assert doc["config"]["L"] == L == np.max(np.abs(values)) == np.min(np.abs(values))
+    assert "potential" not in doc["config"]
+    assert ("T" in doc["config"]) is (subcommand == "evolve")
+    if subcommand == "logconvexity":  # the free-evolution gate only where V = 0
+        assert doc["verdicts"][0].endswith("(free evolution)") is (L == 0.0)
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -342,12 +383,38 @@ def test_logconvexity_with_only_the_endpoints_stored_exits_2(tmp_path, capsys):
     # endpoint, and rho <= 1 would hold by construction
     assert main(["logconvexity", "--M", "8", "--store-every", "1000",
                  "--out", str(tmp_path)]) == 2
-    assert "interior time lands on an endpoint" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "config error: an interior time lands on an endpoint of 2 stored nodes\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    # the CI's 10^4-step d = 2 run: t = 0 and t = 1 alone are stored
+    (["logconvexity", "--d", "2", "--M", "128", "--dt", "1e-4", "--store-every", "10000"],
+     "an interior time lands on an endpoint of 2 stored nodes"),
+    (["logconvexity", "--M", "8", "--dt", "1e-2", "--store-every", "45"],
+     "an interior time lands on an endpoint of 4 stored nodes"),
+    # t = 0, 0.25, 0.5, 0.75, 1: only t = 0.5 lies in [3/8, 5/8]
+    (["lambda-scan", "--store-every", "250"],
+     "too few stored nodes inside [3/8, 5/8]: 1 of 5, Simpson's rule needs 3"),
+    (["lambda-scan", "--d", "3", "--M", "48", "--dt", "1e-4", "--store-every", "2500"],
+     "too few stored nodes inside [3/8, 5/8]: 1 of 5, Simpson's rule needs 3"),
+])
+def test_stored_grid_checks_exit_2_before_the_first_step(argv, message, tmp_path, capsys,
+                                                         monkeypatch):
+    # both checks read the stored times, known from dt and store_every; they
+    # used to run on the trajectory, after every CN step
+    import carleman.evolution
+
+    def no_steps(*args):
+        raise AssertionError("evolved before checking the stored grid")
+
+    monkeypatch.setattr(carleman.evolution, "evolve", no_steps)
+    assert main([*argv, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 @pytest.mark.parametrize("flags", [["--M", "3", "--dt", "0.5"], ["--d", "2"], ["--M", "12"],
-                                   ["--dt", "1e-2"], ["--T", "0.5"],
-                                   ["--potential", "alternating"], ["--store-every", "2"],
+                                   ["--dt", "1e-2"], ["--L", "1"], ["--store-every", "2"],
                                    ["--datum", "gaussian"], ["--mu", "2"]])
 def test_lambda_scan_field_from_rejects_evolution_flags(flags, tmp_path, capsys):
     field = write_field(tmp_path / "delta.bin", LatticeField.delta(LatticeWindow(2, 12)))[0]

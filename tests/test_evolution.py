@@ -11,9 +11,9 @@ import pytest
 import carleman
 from carleman.bessel import bessel_j
 from carleman.errors import SolverDivergenceError, ZeroObservationError
-from carleman.evolution import (EvolutionConfig, Stepper, _block_schedule, evolve,
-                                make_decaying_datum, normalize_observation, observation_integral,
-                                quotient_laplacian)
+from carleman.evolution import (EvolutionConfig, Stepper, Trajectory, _block_schedule,
+                                _simpson_weights, evolve, make_decaying_datum,
+                                normalize_observation, observation_integral, quotient_laplacian)
 from carleman.lattice import (LatticeField, LatticeWindow, Potential, SiteOrbits,
                               boundary_mass_fraction, laplacian_values, mass_sq)
 
@@ -378,6 +378,38 @@ def test_store_every_keeps_final_node():
         assert np.array_equal(thinned == 0, every == 0)
         nz = every != 0
         assert np.max(np.abs(np.log(np.abs(thinned[nz])) - np.log(np.abs(every[nz])))) <= 1e-11
+
+
+@pytest.mark.parametrize("store_every", [3, 7])
+def test_time_weights_cover_a_shorter_last_interval(store_every):
+    # 1000 steps stored every 3rd (7th) leave a last interval of 1 (6) steps,
+    # which the weights used to give the full width: they summed to 1.002
+    # (1.001)
+    window, cfg = free_config(M=4, dt=1e-3, store_every=store_every)
+    traj = evolve(LatticeField.delta(window), cfg)
+    assert traj.times[-1] - traj.times[-2] < traj.times[1] - traj.times[0]
+    w = traj.time_weights()
+    assert w.sum() == pytest.approx(1.0, rel=1e-13, abs=0)
+    assert w @ traj.times == pytest.approx(0.5, rel=1e-13, abs=0)
+    # Simpson over the uniform nodes, the trapezoid over the last interval
+    uniform = Trajectory(traj.orbits, traj.times[:-1], traj.orbit_values[:-1],
+                         traj.norm_logs[:-1], cfg)
+    assert np.array_equal(w[:-2], uniform.time_weights()[:-1])
+
+
+def test_time_weights_on_a_uniform_grid_are_composite_simpson():
+    window, cfg = free_config(M=4, dt=1e-3, store_every=8)  # 125 intervals
+    traj = evolve(LatticeField.delta(window), cfg)
+    w = traj.time_weights()
+    assert np.array_equal(w, _simpson_weights(126, float(traj.times[1] - traj.times[0])))
+
+
+def test_norm_drift_keeps_digits_below_the_spacing_of_doubles_at_one():
+    # e^x - 1 at x = 1e-14 is quantized to steps of 2.2e-16: it read 9.992e-15
+    window = LatticeWindow(1, 3)
+    traj = Trajectory(SiteOrbits(window), np.array([0.0, 1.0]), np.zeros((2, 7), complex),
+                      np.array([0.0, 1e-14]), config=None)
+    assert traj.norm_drift() == pytest.approx(1e-14, rel=1e-12, abs=0)
 
 
 def test_d1_blocks_match_dense_solve_oracle():

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from carleman.evolution import Trajectory
-from carleman.experiments import (ExperimentConfig, _interior_indices, log_convexity_check,
+from carleman.experiments import (ExperimentConfig, interior_indices, log_convexity_check,
                                   star_weight_sup_log_rho)
 from carleman.lattice import LatticeField, LatticeWindow, SiteOrbits, ring_masses
 from carleman.logscalar import NEG_INF, log_abs_sq, logsumexp
@@ -45,7 +45,7 @@ def oracle_ring_log_mass(u, R, time_weights=None):
 
 def oracle_log_rho_rows(traj, beta_list, n_times=9):
     window = traj.window
-    idxs = _interior_indices(traj, n_times)
+    idxs = interior_indices(traj.times, n_times)
     l0 = log_abs_sq(traj.values[0])
     l1 = log_abs_sq(traj.values[-1])
     rows = []
@@ -63,7 +63,7 @@ def oracle_log_rho_rows(traj, beta_list, n_times=9):
 
 def oracle_star_sup_log_rho(traj, mu_grid):
     window = traj.window
-    idxs = _interior_indices(traj)
+    idxs = interior_indices(traj.times)
     l0 = log_abs_sq(traj.values[0])
     l1 = log_abs_sq(traj.values[-1])
     r = np.sqrt(window.radius_sq)
@@ -251,7 +251,7 @@ def full_window_star_sup_log_rho(traj, mu_grid):
 
     r_sq, first = bins(0)
     last = bins(-1)[1]
-    inner = np.array([bins(i)[1] for i in _interior_indices(traj)])
+    inner = np.array([bins(i)[1] for i in interior_indices(traj.times)])
     w = 2.0 * np.asarray(mu_grid)[:, None] * np.sqrt(r_sq) * np.log(np.sqrt(r_sq) + 1.0)
     den = logsumexp(w + np.logaddexp(first, last))
     return np.max(logsumexp(w[:, None, :] + inner) - den[:, None], axis=1)
