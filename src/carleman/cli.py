@@ -98,13 +98,21 @@ def _choice(*names):
     return cast
 
 
-def _positive(kind):
+def _checked(kind, test):
     def cast(value):
         x = kind(value)
-        if not x > 0:
+        if not test(x):
             raise ValueError(value)
         return x
     return cast
+
+
+def _positive(kind):
+    return _checked(kind, lambda x: x > 0)
+
+
+def _nonnegative(kind):
+    return _checked(kind, lambda x: x >= 0)
 
 
 class _Derived:
@@ -139,8 +147,8 @@ _PHI = _choice(*sorted(_PROFILES))
 def _evolution_params(M: int, store_every: int) -> dict:
     return {"d": _D, "M": (M, int, "window half-width"),
             "dt": (1e-3, float, "Crank-Nicolson time step"),
-            "L": (0.0, float, "sup|V| of the potential V_j = L(-1)^(j_1+...+j_d), >= 0; "
-                              "0 evolves freely"),
+            "L": (0.0, _nonnegative(float),
+                  "sup|V| of the potential V_j = L(-1)^(j_1+...+j_d), >= 0; 0 evolves freely"),
             "store_every": (store_every, int, "keep every n-th step")}
 
 
@@ -154,8 +162,6 @@ def _evolved(p, datum: tuple, run, grid_check=None, T: float = 1.0):
     the CN solver stats, the norm drift and the boundary mass with its flag."""
     from .evolution import EvolutionConfig, evolve, make_decaying_datum
     from .lattice import LatticeWindow, Potential
-    if p.L < 0:
-        raise ValueError("A and L must be nonnegative")
     window = LatticeWindow(p.d, p.M)
     potential = Potential.alternating(window, amplitude=p.L) if p.L > 0 else Potential.zero(window)
     cfg = EvolutionConfig(dt=p.dt, T=T, window=window, potential=potential,
@@ -188,7 +194,7 @@ def _run_carleman_check(p, run) -> None:
     from .lattice import LatticeWindow
     from .operators import carleman_constant_batch
     from .profiles import WeightSpec
-    spec = WeightSpec(alpha=p.alpha, R=p.R, phi=_profile(p.phi), d=p.d)
+    spec = WeightSpec.from_rule(p.R, _profile(p.phi), p.d, c_rule=p.c)
     window = LatticeWindow(p.d, p.M)
     cal = carleman_constant_batch(spec, window, p.trials, p.seed)
     held = carleman_constant_batch(spec, window, p.trials, p.seed + 1)
@@ -459,11 +465,9 @@ _SUBCOMMANDS = {
     "carleman-check": (
         "empirical weighted-inequality constant: calibration batch + held-out batch",
         {**_RUN, "d": _D, "R": (10.0, float, "weight radius"),
-         "c": (2.0, float, "constant in the alpha = c R log R rule"),
+         "c": (2.0, _positive(float), "constant in the alpha = c R log R rule, > 0"),
          "M": (_Derived("int(2R)+2", lambda p: int(2 * p["R"]) + 2), int,
                "window half-width"),
-         "alpha": (_Derived("c R log R", lambda p: p["c"] * p["R"] * math.log(p["R"])),
-                   _positive(float), "weight strength, > 0"),
          "trials": (500, _positive(int), "trials per batch, >= 1"),
          "phi": ("zero", _PHI, "time profile")}, {}, _run_carleman_check),
     "commutator-check": (
@@ -486,7 +490,7 @@ _SUBCOMMANDS = {
         "R log_lambda alpha log_lhs_growth pass_absorption boundary_mass",
         {**_RUN, **_evolution_params(34, 5), **_DATUM,
          "R_list": (_parse_r_list("8..28"), _parse_r_list, "comma list or lo..hi[..step]"),
-         "A": (1.0, float, "trajectory l2 bound"),
+         "A": (1.0, _nonnegative(float), "trajectory l2 bound, >= 0"),
          "c": (2.0, float, "constant in the alpha = c R log R rule"),
          "field_from": (None, str, "stationary scan of an exported binary field "
                                    "in place of an evolution")}, {}, _run_lambda_scan),
@@ -503,7 +507,7 @@ _SUBCOMMANDS = {
         "absorption threshold under alpha = c R phi(R); TSV columns: profile R alpha holds",
         {**_RUN, "d": (2, int, "lattice dimension"),
          "c": (1.0, float, "constant in the alpha = c R phi(R) rule"),
-         "L": (1.0, float, "potential sup bound"),
+         "L": (1.0, _positive(float), "potential sup bound, > 0"),
          "R_list": (tuple(float(10**k) for k in range(2, 7)), _parse_r_list,
                     "comma list or lo..hi[..step]")}, {}, _run_threshold_scan),
     "counterexample": (

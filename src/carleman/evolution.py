@@ -53,14 +53,15 @@ timings on a shared 2-vCPU host do not resolve.
 
 The symmetry quotient.  The data the lower bound is tested on (delta,
 Gaussian, e^{-mu |j| log(|j|+1)}) and the zero and alternating potentials are
-invariant under every reflection j_k -> -j_k and every swap j_k <-> j_l of
-two axes, and CN keeps every symmetry that the datum and the potential share.
-So ``evolve`` takes the group generated by the reflections of the
-axes on which both are exactly even and the swaps of the pairs of those axes
-on which both are exactly symmetric, and steps on its quotient
+invariant under the window's full symmetry group, generated by the
+reflections j_k -> -j_k and the swaps j_k <-> j_l of two axes, and CN keeps
+every symmetry that the datum and the potential share.  So ``evolve`` checks
+the d reflections and the d - 1 adjacent swaps, which generate the group, on
+both.  If both keep all of them it steps on the group's quotient
 (lattice.SiteOrbits): one unknown per orbit, held at its representative,
-whose coordinates are |j_k|, sorted in decreasing order within each class of
-swapped axes.  The quotient matrix is A_q = R A S, where R picks the
+whose coordinates are |j| sorted in decreasing order.  Otherwise it steps on
+the window itself, the trivial group's quotient, bit for bit the unfolded
+steps above.  The quotient matrix is A_q = R A S, where R picks the
 representatives' rows and S sums each orbit's columns; its Laplacian part is
 assembled from each representative's in-window neighbours (quotient_laplacian),
 never from the window's matrix.  A site's neighbour is never in the site's own
@@ -69,12 +70,7 @@ neighbours), so every entry of A_q is a diagonal entry of A or an integer
 multiple of an off-diagonal one, exact in floating point: A_q is the full
 system restricted to orbit-invariant fields, factored the same way.  The
 residual contract weights each unknown by its orbit size, so it bounds the
-full-window residual.  With reflections only, the unknowns are the sites
-j_k >= 0 of the folded axes in C order and A_q is entry for entry the folded
-1-d second differences' kron sum, so the steps are bit for bit those of a
-reflection-only fold.  An axis on which the datum or the potential is not
-even is neither folded nor swapped; with no symmetry at all the steps are the
-unfolded ones above, bit for bit.
+full-window residual.
 
 A Trajectory keeps the quotient's values, one per orbit (3.5 MB for 101
 nodes at d = 2, M = 64, against 27 MB unfolded), once: ``orbit_values`` is
@@ -91,44 +87,38 @@ array leaves the program, each one snapshot at a time into one reused
 buffer: the trajectory files and the log-convexity sweep, whose
 e^{2 beta.j} weights no symmetry keeps.
 
-What the quotient saves (alternating V, dt = 1e-2, bessel_like datum; medians
-on 2 vCPUs):
+What the quotient saves (alternating V, dt = 1e-2, bessel_like datum; the
+stepper's build and one step, medians on 2 vCPUs):
 
-    window          group               unknowns   nnz(L+U)   factor    one step
-    d = 2, M = 64   reflections             4225      132 k    19 ms     1.00 ms
-    d = 2, M = 64   reflections, swap       2145       53 k     7 ms     0.52 ms
-    d = 3, M = 16   reflections             4913      777 k   134 ms     3.0 ms
-    d = 3, M = 16   reflections, swaps       969       44 k     8 ms     0.41 ms
-    d = 3, M = 24   reflections            15625     4.77 M   1.24 s    19.9 ms
-    d = 3, M = 24   reflections, swaps      2925      234 k    34 ms     1.33 ms
-
-A step is one solve and one matvec; at d = 2, M = 64 the solve takes 0.35 ms
-instead of 0.82 ms and the matvec 0.046 ms instead of 0.085 ms.
+    window          group     unknowns   nnz(L+U)   factor    one step
+    d = 2, M = 64   trivial      16641      691 k    93 ms     3.6 ms
+    d = 2, M = 64   full          2145       53 k     6 ms     0.22 ms
+    d = 3, M = 12   trivial      15625     4.77 M   0.73 s     7.8 ms
+    d = 3, M = 12   full           455       14 k     3 ms     0.06 ms
+    d = 3, M = 24   full          2925      234 k    22 ms     0.57 ms
 
 The quotient keeps the sitewise accuracy that FFT or DST solvers lose: those
 mix every site into every coefficient, so their rounding error is about 1e-16
 times the norm at every site and swamps a tail below that, while the sparse
 LU solves the same nearest-neighbour recurrence on fewer unknowns.  Against
-the reflection-only and the unfolded steppers (alternating V, dt = 1e-2,
-T = 1) the trajectories keep the same zero pattern, and max |d log|u|| is
-1.1e-13 down to |u| = 1.8e-241 from a delta at d = 2, M = 64, and at most
-8.9e-13 at d = 3, M = 6.  From the bessel_like datum at d = 2, M = 24 the
-swap quotient differs from the reflection-only stepper by 4.2e-8 and from the
-unfolded one by 8.2e-8, at |u| near 3e-49 in the corner of the window.  There
-float CN itself loses digits: against the CN recurrence in 40-digit
-arithmetic, the reflection-only stepper is off by 1.8e-8 and the unfolded one
-by 6.3e-8 at t = 1 (ROADMAP.md, Direction 1, "If measurement rejects this
-direction").
+the unfolded steps (alternating V, dt = 1e-2, T = 1) the trajectories keep
+the same zero pattern, and max |d log|u|| is 1.1e-13 down to
+|u| = 1.8e-241 from a delta at d = 2, M = 64, and at most 8.9e-13 at
+d = 3, M = 6.  From the bessel_like datum at d = 2, M = 24 the quotient
+differs from the unfolded steps by 8.2e-8, at |u| near 3e-49 in the corner
+of the window.  There float CN itself loses digits: against the CN
+recurrence in 40-digit arithmetic, the unfolded steps are off by 6.3e-8 at
+t = 1 (ROADMAP.md, Direction 1, "If measurement rejects this direction").
 
-At d = 1 the fold leaves the sites j >= 0, 129 unknowns of the 257 at
-M = 128, and A_q is tridiagonal (its row 0 holds twice A's off-diagonal
-entry), so A_q^k is a band matrix of bandwidth k.  Its natural order factors
-it without fill.  A minimum-degree order of the folded band is not the
-natural one, and it costs relative accuracy deep in the tail of the first
-blocks: with blocks of 16 from the first step, against the mpmath single
-steps above, it lost 8.8e-2 at M = 80 and 3.1e-4 at M = 128, against 8.2e-5
-and 6.7e-5 in the natural order; after the ramp of one block each, 4.9e-7
-and 8.2e-6 against 1.3e-7 and 2.8e-7.
+At d = 1 the full group is the reflection j -> -j, whose quotient is the
+sites j >= 0, 129 unknowns of the 257 at M = 128, and A_q is tridiagonal (its
+row 0 holds twice A's off-diagonal entry), so A_q^k is a band matrix of
+bandwidth k.  Its natural order factors it without fill.  A minimum-degree
+order of the folded band is not the natural one, and it costs relative
+accuracy deep in the tail of the first blocks: with blocks of 16 from the
+first step, against the mpmath single steps above, it lost 8.8e-2 at M = 80
+and 3.1e-4 at M = 128, against 8.2e-5 and 6.7e-5 in the natural order; after
+the ramp of one block each, 4.9e-7 and 8.2e-6 against 1.3e-7 and 2.8e-7.
 
 The power-of-two carry.  ``evolve`` steps on 2^n u, with n chosen so that
 the datum's orbit-weighted ell^2 norm lies in [2^499, 2^500), and stores
@@ -170,7 +160,6 @@ the subcommands that never evolve do not pay its import.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -209,18 +198,17 @@ def quotient_laplacian(orbits: SiteOrbits) -> "scipy.sparse.csc_matrix":
 
 
 def _symmetry(u0: LatticeField, potential: Potential) -> SiteOrbits:
-    """The orbits of the group generated by the reflections j_k -> -j_k and
-    the swaps j_k <-> j_l of reflected axes that keep both the datum and the
-    potential exactly; evolution keeps that symmetry."""
+    """The orbits of the window's full group when the datum and the
+    potential both keep its generators, the d reflections j_k -> -j_k and
+    the d - 1 swaps j_k <-> j_(k+1), exactly; of the trivial group
+    otherwise.  Evolution keeps that symmetry."""
     d = u0.window.d
 
-    def keeps(move) -> bool:
-        return all(np.array_equal(v, move(v)) for v in (u0.values, potential.values))
+    def keeps(v: np.ndarray) -> bool:
+        return (all(np.array_equal(v, np.flip(v, k)) for k in range(d))
+                and all(np.array_equal(v, np.swapaxes(v, k, k + 1)) for k in range(d - 1)))
 
-    folded = tuple(k for k in range(d) if keeps(lambda v: np.flip(v, k)))
-    swapped = tuple((k, l) for k, l in itertools.combinations(folded, 2)
-                    if keeps(lambda v: np.swapaxes(v, k, l)))
-    return SiteOrbits(u0.window, folded, swapped)
+    return SiteOrbits(u0.window, symmetric=keeps(u0.values) and keeps(potential.values))
 
 
 @dataclass(frozen=True)
@@ -282,8 +270,9 @@ class Trajectory:
     config: EvolutionConfig
     scale_log: float = 0.0  # the log of the factor the values carry beyond orbit_values
     # CN solver: {"refinement_solves": total, "max_relative_residual": max over
-    # solves, "block_steps": most CN steps advanced by one solve, the symmetry:
-    # "folded_axes", "swapped_axes", "quotient_sites"}
+    # solves, "block_steps": most CN steps advanced by one solve, the group:
+    # "symmetric" (the window's full group, or else the trivial one) and its
+    # orbit count "quotient_sites"}
     solver_stats: dict = field(default_factory=dict)
 
     @property
@@ -512,10 +501,11 @@ def _carry_exponent(u: np.ndarray, sizes: np.ndarray) -> int:
 def evolve(u0: LatticeField, cfg: EvolutionConfig) -> Trajectory:
     """Integrate to T, storing every store_every-th node (endpoints always).
 
-    The steps run on the quotient of the symmetry group that keeps both the
-    datum and the potential, on the field carried as 2^n u (see the module
-    docstring), and each stored node keeps the quotient's values: one per
-    orbit of that group."""
+    The steps run on the quotient of the window's full symmetry group when
+    the datum and the potential both keep it, on the window otherwise
+    (_symmetry), on the field carried as 2^n u (see the module docstring),
+    and each stored node keeps the quotient's values: one per orbit of that
+    group."""
     window = cfg.window
     if u0.window != window:
         raise ValueError("datum window != config window")
@@ -529,7 +519,7 @@ def evolve(u0: LatticeField, cfg: EvolutionConfig) -> Trajectory:
     carry = _carry_exponent(u, orbits.sizes)
     u = _ldexp(u, carry)
     orbit_values = np.empty((len(nodes), orbits.count), dtype=complex)
-    weights = None if orbits.trivial else orbits.sizes  # the window's mass from u's
+    weights = orbits.sizes if orbits.symmetric else None  # the window's mass from u's
     for k, blocks in enumerate([[]] + schedule):
         for steps in blocks:
             u = stepper.step(u, steps)
@@ -540,8 +530,7 @@ def evolve(u0: LatticeField, cfg: EvolutionConfig) -> Trajectory:
     solver_stats = {"refinement_solves": stepper.refinement_solves,
                     "max_relative_residual": stepper.max_relative_residual,
                     "block_steps": max(stepper.blocks, default=0),
-                    "folded_axes": list(orbits.folded),
-                    "swapped_axes": [list(pair) for pair in orbits.swapped],
+                    "symmetric": orbits.symmetric,
                     "quotient_sites": orbits.count}
     return Trajectory(orbits, cfg.times, orbit_values, norm_logs, cfg,
                       solver_stats=solver_stats)

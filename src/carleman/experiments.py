@@ -17,8 +17,8 @@ import numpy as np
 from .bessel import bessel_k, weighted_cosh_integral
 from .errors import ConfigError
 from .fitting import best_model
-from .lattice import (LatticeField, SiteOrbits, boundary_mass_fraction, radial_log_sums,
-                      ring_masses, star_log_weight)
+from .lattice import (LatticeField, SiteOrbits, boundary_mass_fraction, nonincreasing_tuples,
+                      radial_log_sums, ring_masses, star_log_weight)
 from .logscalar import NEG_INF, log_abs_sq, logsumexp
 from .profiles import sinh_factor_log
 
@@ -110,11 +110,12 @@ def lambda_scan(source, cfg: ExperimentConfig) -> dict:
 
 
 def interior_indices(times: np.ndarray, n_times: int = 9) -> list:
-    """The stored nodes nearest to n_times interior times in [0.1, 0.9]; an
-    endpoint among them would compare a snapshot with itself, so it is a
-    config error, found from the stored times before any step."""
+    """The distinct stored nodes nearest to n_times interior times in
+    [0.1, 0.9], in time order; an endpoint among them would compare a
+    snapshot with itself, so it is a config error, found from the stored
+    times before any step."""
     targets = np.linspace(0.1, 0.9, n_times)
-    idxs = [int(np.argmin(np.abs(times - t))) for t in targets]
+    idxs = list(dict.fromkeys(int(np.argmin(np.abs(times - t))) for t in targets))
     if 0 in idxs or len(times) - 1 in idxs:
         raise ConfigError(f"an interior time lands on an endpoint of {len(times)} stored nodes")
     return idxs
@@ -252,27 +253,15 @@ def star_weight_sup_log_rho(traj: Trajectory, mu_grid) -> np.ndarray:
     return np.max(num - den[:, None], axis=1)
 
 
-def _octant_tails(n: int, j_max: int) -> np.ndarray:
-    """Every n-tuple j_max >= t_1 >= ... >= t_n >= 0, one per row, in
-    lexicographic order.  The tuples with t_1 <= v are the first
-    comb(v + n, n) rows."""
-    tails = np.zeros((1, 0), dtype=np.int64)
-    for m in range(n):  # tails holds the m-tuples; prepend each first entry v
-        tails = np.concatenate([
-            np.column_stack([np.full(math.comb(v + m, m), v), tails[:math.comb(v + m, m)]])
-            for v in range(j_max + 1)])
-    return tails
-
-
 def norm_star_equivalence(d: int, j_max: int) -> dict:
     """Exhaustive ratio scan of |j| log(|j|+1) against sum_k |j_k| log(|j_k|+1).
 
     d = 1 is the identity (ratios exactly 1).  For d >= 2 symmetry reduces
     the scan to the octant j_max >= j_1 >= j_2 >= ... >= j_d >= 0, j_1 >= 1:
     one row per j_1, vectorised over its tails (j_2, ..., j_d) in
-    lexicographic order, so arg_sup and arg_inf are the first sites in that
-    order to attain the extremes.  A row holds comb(j_1 + d - 1, d - 1)
-    tails, so memory grows like j_max^(d-1).
+    lexicographic order (lattice.nonincreasing_tuples), so arg_sup and
+    arg_inf are the first sites in that order to attain the extremes.  A row
+    holds comb(j_1 + d - 1, d - 1) tails, so memory grows like j_max^(d-1).
     """
     if j_max < 10:
         raise ValueError("j_max >= 10 required")
@@ -280,10 +269,10 @@ def norm_star_equivalence(d: int, j_max: int) -> dict:
         raise ValueError("d >= 1 required")
     if d == 1:
         return {"d": 1, "sup_ratio": 1.0, "inf_ratio": 1.0, "c_d": 1.0, "exact": True}
-    tails = _octant_tails(d - 1, j_max)
+    tails = nonincreasing_tuples(d - 1, j_max)
     k = np.arange(j_max + 1)
-    star_terms = [(k * np.log(k + 1.0))[col] for col in tails.T]
-    tail_sq = np.sum(tails.astype(float) ** 2, axis=1)  # exact integers
+    star_terms = [(k * np.log(k + 1.0))[col] for col in tails]
+    tail_sq = np.sum(tails.astype(float) ** 2, axis=0)  # exact integers
     sup_r, inf_r = -math.inf, math.inf
     arg_sup = arg_inf = None
     for j1 in range(1, j_max + 1):
@@ -296,9 +285,9 @@ def norm_star_equivalence(d: int, j_max: int) -> dict:
         i_hi = int(np.argmax(ratios))
         i_lo = int(np.argmin(ratios))
         if ratios[i_hi] > sup_r:
-            sup_r, arg_sup = float(ratios[i_hi]), (j1, *(int(t) for t in tails[i_hi]))
+            sup_r, arg_sup = float(ratios[i_hi]), (j1, *(int(t) for t in tails[:, i_hi]))
         if ratios[i_lo] < inf_r:
-            inf_r, arg_inf = float(ratios[i_lo]), (j1, *(int(t) for t in tails[i_lo]))
+            inf_r, arg_inf = float(ratios[i_lo]), (j1, *(int(t) for t in tails[:, i_lo]))
     return {"d": d, "j_max": j_max, "sup_ratio": sup_r, "inf_ratio": inf_r,
             "arg_sup": arg_sup, "arg_inf": arg_inf,
             "c_d": max(sup_r, 1.0 / inf_r)}

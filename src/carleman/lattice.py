@@ -71,33 +71,46 @@ class LatticeWindow:
         return tuple(int(jk) + self.M for jk in np.atleast_1d(j))
 
 
+def nonincreasing_tuples(n: int, top: int) -> np.ndarray:
+    """Every n-tuple top >= t_1 >= ... >= t_n >= 0 (n >= 1), one per column
+    of an (n, comb(top + n, n)) array, in C order: the tuples with t_1 <= v
+    are the first comb(v + n, n) columns.  Built entry by entry, each column
+    of the first k entries repeated once for every value the next entry
+    takes under it."""
+    columns = []  # the tuples' first k entries, then one more per pass
+    for _ in range(n):
+        counts = (columns[-1] if columns else np.full(1, top)) + 1
+        prefix = np.repeat(np.arange(counts.size), counts)
+        start = np.cumsum(counts) - counts
+        columns = [c[prefix] for c in columns] + [np.arange(prefix.size) - start[prefix]]
+    return np.array(columns)
+
+
 @dataclass(frozen=True)
 class SiteOrbits:
-    """The window's sites grouped into the orbits of a symmetry group: the
-    group generated by the reflections j_k -> -j_k of the axes in ``folded``
-    and the swaps j_k <-> j_l of the axis pairs in ``swapped`` (both axes of a
-    pair folded).  With neither, each site is its own orbit: the trivial group.
+    """The window's sites grouped into the orbits of one of two symmetry
+    groups: with ``symmetric``, the window's full group, generated by the
+    reflections j_k -> -j_k and the swaps j_k <-> j_l of two axes; without
+    it, the trivial group, each site its own orbit.
 
-    An orbit's canonical key is |j_k| on the folded axes and j_k on the
-    others, sorted in decreasing order within each class of axes that swaps
-    connect.  Its representative is the site whose coordinates are the key,
-    and orbits are numbered in the C order of their representatives, so with
-    reflections only they are the sites j_k >= 0 of the folded axes in C order.
-    Every orbit-invariant field is known from its values at the
-    representatives, and a sum over the window is the sum over the
-    representatives weighted by the orbit sizes.  Under every reflection and
-    swap there are comb(M + d, d) orbits: 2145 for the 16641 sites at d = 2,
-    M = 64, and 6545 for the 274625 at d = 3, M = 32, where 21 stored nodes
-    take 2.2 MB as orbit values and 92 MB unfolded.
+    An orbit's canonical key is |j| sorted in decreasing order (the site
+    itself for the trivial group).  Its representative is the site whose
+    coordinates are the key, and orbits are numbered in the C order of their
+    representatives.  Every orbit-invariant field is known from its values
+    at the representatives, and a sum over the window is the sum over the
+    representatives weighted by the orbit sizes.  The full group has
+    comb(M + d, d) orbits: 2145 for the 16641 sites at d = 2, M = 64, and
+    6545 for the 274625 at d = 3, M = 32, where 21 stored nodes take 2.2 MB
+    as orbit values and 92 MB unfolded.
 
     Everything but the orbit map is built from the keys alone, at the size
-    of the quotient.  ``keys`` enumerates them in C order, axis by axis: a
-    folded axis runs over 0..M, or over 0..(the key on the axis before it in
-    its class), and any other axis over -M..M.  An orbit's size is
-    2^(nonzero folded coordinates) times, per class, the multinomial count of
-    the distinct orders of its key.  ``radial_bins`` and ``boundary_shell``
-    read |j|^2 and max_k |j_k| off the keys, and ``orbit_of`` ranks any site
-    by its key's flat index among the representatives' (np.searchsorted).
+    of the quotient.  ``keys`` enumerates them in C order: for the full group
+    every M >= k_1 >= ... >= k_d >= 0 (nonincreasing_tuples), for the trivial
+    one every window site.  A full-group orbit holds 2^(nonzero coordinates)
+    times d! / prod(run length!) sites, the runs being those of equal
+    coordinates in its key.  ``radial_bins`` and ``boundary_shell`` read
+    |j|^2 and max_k |j_k| off the keys, and ``orbit_of`` ranks any site by
+    its key's flat index among the representatives' (np.searchsorted).
     ``site_orbit``, the window-sized orbit map, exists only once something
     unfolds orbit values to the window (``unfold``: the trajectory files and
     the log-convexity sweep); it is then ranked in blocks of rows of about
@@ -105,40 +118,15 @@ class SiteOrbits:
     """
 
     window: LatticeWindow
-    folded: tuple = ()
-    swapped: tuple = ()
-
-    def __post_init__(self):
-        if not all(k in self.folded and l in self.folded for k, l in self.swapped):
-            raise ValueError("only folded axes can be swapped")
-
-    @cached_property
-    def _classes(self) -> list:
-        """The folded axes grouped into the classes that swaps connect, each
-        an increasing tuple."""
-        classes = [{k} for k in self.folded]
-        for k, l in self.swapped:
-            a, b = (next(c for c in classes if axis in c) for axis in (k, l))
-            if a is not b:
-                a |= b
-                classes.remove(b)
-        return [tuple(sorted(c)) for c in classes]
+    symmetric: bool = False
 
     @cached_property
     def keys(self) -> np.ndarray:
         """The representatives' coordinates, (d, count), in C order."""
         w = self.window
-        previous = {b: a for c in self._classes for a, b in zip(c, c[1:])}
-        columns = []  # the keys' first k coordinates, then one more per axis
-        for k in range(w.d):
-            n = columns[0].size if columns else 1
-            lo = 0 if k in self.folded else -w.M
-            hi = columns[previous[k]] if k in previous else np.full(n, w.M)
-            counts = hi - lo + 1
-            prefix = np.repeat(np.arange(n), counts)
-            start = np.cumsum(counts) - counts
-            columns = [c[prefix] for c in columns] + [np.arange(prefix.size) - start[prefix] + lo]
-        return np.array(columns)
+        if self.symmetric:
+            return nonincreasing_tuples(w.d, w.M)
+        return np.indices(w.shape).reshape(w.d, -1) - w.M
 
     @cached_property
     def representatives(self) -> np.ndarray:
@@ -148,11 +136,13 @@ class SiteOrbits:
     def orbit_of(self, sites) -> np.ndarray:
         """The orbit number of each in-window site, given as d integer
         coordinate arrays that broadcast together (or one (d, ...) array)."""
-        key = [np.abs(j) if k in self.folded else j for k, j in enumerate(sites)]
-        for axes in self._classes:  # decreasing within each class: a network of max/min
-            for end in range(len(axes) - 1, 0, -1):
-                for a, b in zip(axes[:end], axes[1:end + 1]):
-                    key[a], key[b] = np.maximum(key[a], key[b]), np.minimum(key[a], key[b])
+        key = list(sites)
+        if self.symmetric:  # |j| in decreasing order, by a network of max/min
+            key = [np.abs(j) for j in key]
+            for end in range(len(key) - 1, 0, -1):
+                for a in range(end):
+                    key[a], key[a + 1] = (np.maximum(key[a], key[a + 1]),
+                                          np.minimum(key[a], key[a + 1]))
         M = self.window.M
         flat = key[0] + M
         for j in key[1:]:
@@ -175,25 +165,19 @@ class SiteOrbits:
     def count(self) -> int:
         return self.representatives.size
 
-    @property
-    def trivial(self) -> bool:
-        """Whether every orbit is a single site: no axis is folded (and so
-        none is swapped)."""
-        return not self.folded
-
     @cached_property
     def sizes(self) -> np.ndarray:
         """The number of window sites in each orbit, as floats."""
+        if not self.symmetric:
+            return np.ones(self.count)
         keys = self.keys
-        sizes = np.left_shift(1, np.count_nonzero(keys[list(self.folded)], axis=0))
-        for axes in self._classes:  # times len(axes)! / prod(run length!) over equal runs
-            run = np.ones(self.count, dtype=np.int64)
-            runs = np.ones(self.count, dtype=np.int64)
-            for a, b in zip(axes, axes[1:]):
-                run = np.where(keys[b] == keys[a], run + 1, 1)
-                runs *= run
-            sizes = sizes * math.factorial(len(axes)) // runs
-        return sizes.astype(float)
+        run = np.ones(self.count, dtype=np.int64)
+        runs = np.ones(self.count, dtype=np.int64)  # prod(run length!) over equal runs
+        for a, b in zip(keys, keys[1:]):
+            run = np.where(b == a, run + 1, 1)
+            runs *= run
+        signs = np.left_shift(1, np.count_nonzero(keys, axis=0))
+        return (signs * math.factorial(self.window.d) // runs).astype(float)
 
     @cached_property
     def boundary_shell(self) -> np.ndarray:
@@ -216,7 +200,7 @@ class SiteOrbits:
         those are kept.  For the trivial group this is a view."""
         d = self.window.d
         flat = values.reshape(values.shape[:values.ndim - d] + (-1,))
-        return flat if self.trivial else np.take(flat, self.representatives, axis=-1)
+        return np.take(flat, self.representatives, axis=-1) if self.symmetric else flat
 
     def unfold(self, orbit_values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The window's values of orbit-invariant values given one per orbit

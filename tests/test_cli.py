@@ -103,12 +103,11 @@ def test_evolve_manifest_records_solver_stats_and_boundary_flag(flags, flagged, 
                                                                 capsys):
     assert run_evolve(tmp_path, *flags) == 0
     stats = json.loads((tmp_path / "manifest_evolve_0_pinned.json").read_text())["stats"]
-    assert sorted(stats) == ["block_steps", "boundary_mass", "boundary_mass_flag", "folded_axes",
+    assert sorted(stats) == ["block_steps", "boundary_mass", "boundary_mass_flag",
                              "max_relative_residual", "norm_drift", "quotient_sites",
-                             "refinement_solves", "swapped_axes"]
+                             "refinement_solves", "symmetric"]
     d2 = flags[1] == "2"  # the quotient: 0 <= j_2 <= j_1 <= 10 at d = 2, 0 <= j <= 34 at d = 1
-    assert stats["folded_axes"] == ([0, 1] if d2 else [0])
-    assert stats["swapped_axes"] == ([[0, 1]] if d2 else [])
+    assert stats["symmetric"] is True
     assert stats["quotient_sites"] == (66 if d2 else 35)
     assert stats["refinement_solves"] == 0
     assert 0.0 < stats["max_relative_residual"] <= 1e-12
@@ -126,13 +125,11 @@ def test_evolve_manifest_records_solver_stats_and_boundary_flag(flags, flagged, 
 def test_evolving_subcommands_record_solver_stats(subcommand, flags, block_steps, tmp_path,
                                                   capsys):
     stats = manifest_of(subcommand, tmp_path, *flags)["stats"]
-    assert sorted(stats) == ["block_steps", "boundary_mass", "boundary_mass_flag", "folded_axes",
+    assert sorted(stats) == ["block_steps", "boundary_mass", "boundary_mass_flag",
                              "max_relative_residual", "norm_drift", "quotient_sites",
-                             "refinement_solves", "swapped_axes"]
+                             "refinement_solves", "symmetric"]
     assert stats["block_steps"] == block_steps
-    d2 = "--d" in flags  # every axis of the even datum folds, at d = 1 too
-    assert stats["folded_axes"] == ([0, 1] if d2 else [0])
-    assert stats["swapped_axes"] == ([[0, 1]] if d2 else [])
+    assert stats["symmetric"] is True  # the delta keeps the full group, at d = 1 too
     assert stats["refinement_solves"] == 0
     assert 0.0 < stats["max_relative_residual"] <= 1e-12
     assert stats["norm_drift"] < 1e-10
@@ -298,7 +295,8 @@ def test_commutator_check_failing_tolerance_exits_1(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [["kbessel", "--M", "3"],
                                   ["report", "--stamp", "pinned"],
-                                  ["hiding-scan", "--R", "10"]])  # no prefix of --R-list
+                                  ["hiding-scan", "--R", "10"],  # no prefix of --R-list
+                                  ["carleman-check", "--alpha", "5"]])  # alpha is c R log R
 def test_flag_the_subcommand_does_not_read_exits_2(argv, tmp_path, capsys):
     assert main([*argv, "--out", str(tmp_path)]) == 2
     assert "unrecognized arguments" in capsys.readouterr().err
@@ -309,7 +307,7 @@ def test_negative_l_exits_2_before_evolving(subcommand, tmp_path, capsys):
     # a negative sup bound used to run as L = 0 (amplitude 1) and exit 0
     argv = [subcommand, "--L", "-2", "--M", "6", "--dt", "1e-2", "--out", str(tmp_path)]
     assert main(argv) == 2
-    assert capsys.readouterr().err == "error: A and L must be nonnegative\n"
+    assert capsys.readouterr().err == "config error: bad value for L: '-2'\n"
     assert list(tmp_path.iterdir()) == []
 
 
@@ -357,13 +355,16 @@ def test_l_is_the_sup_of_the_evolved_potential(subcommand, L, tmp_path, capsys, 
 
 @pytest.mark.parametrize("argv, message", [
     (["commutator-check", "--tolerance", "symetry=1e-30"], "unknown tolerance 'symetry'"),
-    (["carleman-check", "--alpha", "0"], "bad value for alpha"),
-    (["carleman-check", "--alpha", "-1"], "bad value for alpha"),
+    (["carleman-check", "--c", "0"], "bad value for c"),
+    (["carleman-check", "--c", "-1"], "bad value for c"),
     (["verify-counterexample"], "--field-from is required"),
     # zero trials would pass every check over no trials at all
     (["carleman-check", "--trials", "0"], "bad value for trials"),
     (["commutator-check", "--trials", "0"], "bad value for trials"),
     (["commutator-check", "--trials", "-3"], "bad value for trials"),
+    # the sign conditions are the parameter tables' casts
+    (["threshold-scan", "--L", "0"], "bad value for L"),
+    (["lambda-scan", "--A", "-1"], "bad value for A"),
 ])
 def test_config_error_exits_2(argv, message, tmp_path, capsys):
     assert main([*argv, "--out", str(tmp_path)]) == 2
@@ -467,14 +468,24 @@ def test_manifest_holds_resolved_parameters(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("subcommand, flags, derived", [
-    ("carleman-check", ["--R", "6", "--trials", "5"], {"M": 14, "alpha": 12 * math.log(6)}),
-    ("carleman-check", ["--R", "6", "--trials", "5", "--alpha", "3"], {"M": 14, "alpha": 3.0}),
+    ("carleman-check", ["--R", "6", "--trials", "5"], {"M": 14}),
+    ("carleman-check", ["--R", "6", "--trials", "5", "--M", "20"], {"M": 20}),
     ("commutator-check", ["--R", "6", "--trials", "5"], {"M": 10}),
     ("counterexample", ["--R", "8.5"], {"R": 8, "margin": 60}),
 ])
 def test_derived_defaults(subcommand, flags, derived, tmp_path, capsys):
     config = manifest_of(subcommand, tmp_path, *flags)["config"]
     assert {k: config[k] for k in derived} == derived
+
+
+def test_carleman_check_runs_alpha_from_c(tmp_path, capsys):
+    # --alpha used to override --c, while the manifest recorded the c it did
+    # not run
+    config = manifest_of("carleman-check", tmp_path, "--R", "6", "--trials", "5",
+                         "--c", "3")["config"]
+    report = json.loads((tmp_path / "carleman_check_0_pinned.json").read_text())
+    assert "alpha" not in config and config["c"] == 3.0
+    assert report["params"]["alpha"] == 3.0 * 6.0 * math.log(6.0)
 
 
 def test_config_file_sets_values_and_flags_override_it(tmp_path, capsys):
@@ -663,10 +674,24 @@ def test_import_cli_leaves_scipy_unimported():
 
 
 @pytest.mark.parametrize("argv, code", [(["--help"], 0), (["lambda-scan", "--help"], 0),
-                                        (["potential-scan", "--R-list", "28..8"], 2)])
+                                        (["potential-scan", "--R-list", "28..8"], 2),
+                                        (["threshold-scan", "--L", "0"], 2),
+                                        (["lambda-scan", "--A", "-1"], 2),
+                                        (["evolve", "--L", "-2"], 2)])
 def test_help_and_config_errors_exit_without_numpy(argv, code):
     assert _fresh(_IMPORTS_PROBE, *argv).split() == [
         str(code), "carleman", "carleman.cli", "carleman.errors"]
+
+
+def test_logconvexity_reports_each_interior_time_once(tmp_path, capsys):
+    # every 150th of 1000 steps stored: t = 0.15, 0.45 and 0.75 are each the
+    # nearest node to two of the nine interior times, and their rows came twice
+    manifest_of("logconvexity", tmp_path, "--store-every", "150")
+    rows = (tmp_path / "logconvexity_0_pinned.tsv").read_text().splitlines()[1:]
+    keys = [tuple(row.split("\t")[:2]) for row in rows]
+    assert len(keys) == len(set(keys)) == 6 * 17
+    times = [float(t) for _, t in keys[:6]]
+    assert times == pytest.approx([0.15, 0.3, 0.45, 0.6, 0.75, 0.9], abs=1e-12)
 
 
 @pytest.mark.parametrize("argv, message", [

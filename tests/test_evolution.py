@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -293,13 +294,15 @@ def test_tail_matches_dense_solve_oracle():
     assert max_log_deviation(np.asarray(traj.values), oracle) < 1e-10
 
 
-def test_off_centre_delta_folds_one_axis_and_matches_dense_oracle():
-    # a delta at j = (1, 0) is even in j_2 only: the steps run on 21 x 11 sites
+def test_off_centre_delta_stays_unfolded_and_matches_dense_oracle():
+    # a delta at j = (1, 0) is odd under the reflection of axis 0 and the
+    # swap: the steps run on all 21 x 21 sites
     window = LatticeWindow(2, 10)
     cfg = EvolutionConfig(dt=1e-2, T=0.2, window=window, potential=Potential.alternating(window))
     u0 = LatticeField.delta(window, [1, 0])
     traj = evolve(u0, cfg)
-    assert traj.solver_stats["folded_axes"] == [1]
+    assert traj.solver_stats["symmetric"] is False
+    assert traj.solver_stats["quotient_sites"] == window.site_count
     oracle = dense_cn_oracle(u0, cfg)
     assert np.min(np.abs(oracle[oracle != 0])) < 1e-26
     assert max_log_deviation(np.asarray(traj.values), oracle) < 1e-10
@@ -307,8 +310,9 @@ def test_off_centre_delta_folds_one_axis_and_matches_dense_oracle():
 
 def test_bessel_like_d2_matches_dense_oracle():
     # measured max |d log|u|| against this oracle at these nodes: 1.7e-10 on
-    # the swap quotient, 4.5e-11 reflection-only and 7.0e-11 unfolded, in the
-    # corner where |u| is near 1e-27; at M = 24 all three reach 8.0e-8 to
+    # the full group's quotient, 4.5e-11 on the reflections' (ReflectionOrbits)
+    # and 7.0e-11 unfolded, in the corner where |u| is near 1e-27; at M = 24
+    # all three reach 8.0e-8 to
     # 9.5e-8 in the corner (|u| from 3e-49 to 2e-47), where the oracle itself
     # is accurate only relative to the norm
     window = LatticeWindow(2, 16)
@@ -316,8 +320,7 @@ def test_bessel_like_d2_matches_dense_oracle():
                           store_every=10)
     u0 = make_decaying_datum(window, ("bessel_like", 1.0))
     traj = evolve(u0, cfg)
-    assert traj.solver_stats["folded_axes"] == [0, 1]
-    assert traj.solver_stats["swapped_axes"] == [[0, 1]]
+    assert traj.solver_stats["symmetric"] is True
     oracle = dense_cn_oracle(u0, cfg)
     assert np.min(np.abs(oracle[oracle != 0])) < 1e-30
     assert max_log_deviation(np.asarray(traj.values), oracle) <= 1e-9
@@ -422,7 +425,7 @@ def test_d1_blocks_match_dense_solve_oracle():
     cfg = EvolutionConfig(dt=1e-2, T=1.0, window=window, potential=potential, store_every=37)
     traj = evolve(LatticeField.delta(window), cfg)
     assert traj.solver_stats["block_steps"] == 16
-    assert traj.solver_stats["folded_axes"] == [0]  # 0 <= j <= 34
+    assert traj.solver_stats["symmetric"] is True  # 0 <= j <= 34
     assert traj.solver_stats["quotient_sites"] == 35
     oracle = dense_cn_oracle(LatticeField.delta(window), cfg)
     assert traj.n_stored == len(oracle) == 4
@@ -498,7 +501,7 @@ def test_block_schedule_ramps_then_caps():
 
 def test_stepper_builds_every_block_length_from_squares():
     window = LatticeWindow(1, 6)
-    orbits, potential = SiteOrbits(window, (0,)), Potential.alternating(window)
+    orbits, potential = SiteOrbits(window, symmetric=True), Potential.alternating(window)
     stepper = Stepper(orbits, potential, 1e-2, (16, 5, 1, 11, 2))
     A, B, _ = stepper.blocks[1]
     assert B is None  # one step carries A u and builds no B
@@ -519,7 +522,7 @@ def test_stepper_systems_do_not_depend_on_the_order_of_the_lengths():
     # shared unsorted, A^8 came out 2.2e-16 apart (d = 1, M = 34) when the
     # 8-step system was factored before the 1-, 2- and 4-step ones
     window = LatticeWindow(1, 34)
-    orbits, potential = SiteOrbits(window, (0,)), Potential.alternating(window)
+    orbits, potential = SiteOrbits(window, symmetric=True), Potential.alternating(window)
     longest_first = Stepper(orbits, potential, 1e-2, [8, 1, 2, 4])
     ascending = Stepper(orbits, potential, 1e-2, [1, 2, 4, 8])
     u = orbits.gather(make_decaying_datum(window, ("bessel_like", 1.0)).values).astype(complex)
@@ -561,10 +564,23 @@ def per_step_loop(u0, cfg, orbits):
     return np.array(nodes)
 
 
-def full_group(window):
-    """Every reflection and every axis swap of the window."""
-    axes = tuple(range(window.d))
-    return SiteOrbits(window, axes, tuple(itertools.combinations(axes, 2)))
+class ReflectionOrbits(SiteOrbits):
+    """The quotient of the reflections j_k -> -j_k alone, a reference for
+    the full group's: the sites 0 <= j_k <= M in C order, each orbit
+    2^(nonzero coordinates) sites.  A stepper on it solves the folded 1-d
+    second differences' kron sum."""
+
+    @cached_property
+    def keys(self):
+        return np.indices((self.window.M + 1,) * self.window.d).reshape(self.window.d, -1)
+
+    def orbit_of(self, sites):
+        return np.ravel_multi_index(tuple(np.abs(j) for j in sites),
+                                    (self.window.M + 1,) * self.window.d)
+
+    @cached_property
+    def sizes(self):
+        return np.left_shift(1, np.count_nonzero(self.keys, axis=0)).astype(float)
 
 
 def test_d2_evolve_is_the_per_step_loop_bit_for_bit():
@@ -573,34 +589,56 @@ def test_d2_evolve_is_the_per_step_loop_bit_for_bit():
                           potential=Potential.alternating(window), store_every=3)
     traj = evolve(LatticeField.delta(window), cfg)
     assert traj.solver_stats["block_steps"] == 1
-    assert traj.solver_stats["folded_axes"] == [0, 1]
-    assert traj.solver_stats["swapped_axes"] == [[0, 1]]
+    assert traj.solver_stats["symmetric"] is True
     assert traj.solver_stats["quotient_sites"] == 45  # 0 <= j_2 <= j_1 <= 8
-    assert traj.orbits == full_group(window)
-    loop = per_step_loop(LatticeField.delta(window), cfg, full_group(window))
+    assert traj.orbits == SiteOrbits(window, symmetric=True)
+    loop = per_step_loop(LatticeField.delta(window), cfg, traj.orbits)
     assert np.array_equal(traj.orbit_values, loop)
     assert np.array_equal(traj.values, traj.orbits.unfold(loop))
 
 
-@pytest.mark.parametrize("case, folded", [("random_datum", ()), ("ramp_potential", (1,))])
-def test_uneven_axes_stay_unfolded(case, folded):
-    # an axis folds only when the datum and the potential are both even on
-    # it: a random datum folds nothing, and a potential 0.1 j_1 keeps the
-    # delta's axis 0 unfolded; evolve is then the per-step loop bit for bit
-    window = LatticeWindow(2, 8)
+def broken_generators(values):
+    """The generators of the window's full group that values do not keep:
+    ("flip", k) for the reflection of axis k, ("swap", k) for the swap of
+    axes k and k + 1."""
+    d = values.ndim
+    return ({("flip", k) for k in range(d) if not np.array_equal(values, np.flip(values, k))}
+            | {("swap", k) for k in range(d - 1)
+               if not np.array_equal(values, np.swapaxes(values, k, k + 1))})
+
+
+@pytest.mark.parametrize("case", ["random_datum", "ramp_potential", "one_flip_d1",
+                                  "one_swap_d2", "one_swap_d3"])
+def test_uneven_axes_stay_unfolded(case):
+    # the steps fold only when the datum and the potential both keep every
+    # generator of the full group: a random datum keeps none, a potential
+    # 0.1 j_1 breaks the reflection of axis 0 and the swap at d = 2 and the
+    # only reflection at d = 1, and e^{-(j_1^2 + 2 j_2^2 + ...)} breaks only
+    # the swap of axes 0 and 1; evolve is then the unfolded per-step loop bit
+    # for bit
+    d = {"one_flip_d1": 1, "one_swap_d3": 3}.get(case, 2)
+    window = LatticeWindow(d, 8 if d < 3 else 5)
+    j = [window.coordinate(k) for k in range(d)]
     potential = Potential.alternating(window)
     u0 = LatticeField.delta(window)
     if case == "random_datum":
         rng = np.random.default_rng(3)
         vals = rng.standard_normal(window.shape) + 1j * rng.standard_normal(window.shape)
         u0 = LatticeField.from_values(window, vals / np.linalg.norm(vals))
+    elif case in ("ramp_potential", "one_flip_d1"):
+        potential = Potential(window, 0.1 * j[0] + np.zeros(window.shape))
     else:
-        potential = Potential(window, 0.1 * window.coordinate(0) + np.zeros(window.shape))
-    cfg = EvolutionConfig(dt=1e-2, T=0.2, window=window, potential=potential, store_every=3)
+        u0 = LatticeField.from_values(window, np.exp(-sum((1.0 + (k > 0)) * jk ** 2
+                                                          for k, jk in enumerate(j))))
+    broken = broken_generators(u0.values) | broken_generators(potential.values)
+    assert (len(broken) == 1) is case.startswith("one_"), broken
+    # every step stored at d = 1, so that each block is one step
+    cfg = EvolutionConfig(dt=1e-2, T=0.2, window=window, potential=potential,
+                          store_every=1 if d == 1 else 3)
     traj = evolve(u0, cfg)
-    assert traj.solver_stats["folded_axes"] == list(folded)
-    assert traj.solver_stats["swapped_axes"] == []
-    loop = per_step_loop(u0, cfg, SiteOrbits(window, folded))
+    assert traj.solver_stats["symmetric"] is False
+    assert traj.solver_stats["quotient_sites"] == window.site_count
+    loop = per_step_loop(u0, cfg, SiteOrbits(window))
     assert np.array_equal(traj.orbit_values, loop)
     assert np.array_equal(traj.values, traj.orbits.unfold(loop))
 
@@ -612,23 +650,6 @@ def test_a_stacked_potential_is_rejected():
     stacked = np.stack([np.zeros(window.shape), np.full(window.shape, 5.0)])
     with pytest.raises(ValueError, match="potential shape"):
         Potential(window, stacked)
-
-
-def test_anisotropic_datum_stays_on_the_reflection_quotient():
-    # e^{-(j_1^2 + 2 j_2^2)} is even on both axes but not symmetric under the
-    # swap, so only the reflections fold, bit for bit the reflection-only loop
-    window = LatticeWindow(2, 10)
-    u0 = LatticeField.from_values(window, np.exp(-(window.coordinate(0) ** 2
-                                                   + 2.0 * window.coordinate(1) ** 2)))
-    cfg = EvolutionConfig(dt=1e-2, T=0.2, window=window, potential=Potential.alternating(window),
-                          store_every=4)
-    traj = evolve(u0, cfg)
-    assert traj.solver_stats["folded_axes"] == [0, 1]
-    assert traj.solver_stats["swapped_axes"] == []
-    assert traj.solver_stats["quotient_sites"] == 11 * 11
-    loop = per_step_loop(u0, cfg, SiteOrbits(window, (0, 1)))
-    assert np.array_equal(traj.orbit_values, loop)
-    assert np.array_equal(traj.values, traj.orbits.unfold(loop))
 
 
 # Measured max |d log|u|| of the swap quotient (alternating V, dt = 1e-2,
@@ -650,46 +671,33 @@ def test_swap_quotient_matches_reflection_and_unfolded_loops(d, M, datum):
                           store_every=10)
     u0 = make_decaying_datum(window, datum)
     traj = evolve(u0, cfg)
-    assert traj.orbits == full_group(window)
+    assert traj.orbits == SiteOrbits(window, symmetric=True)
     assert traj.solver_stats["quotient_sites"] == math.comb(M + d, d)
     bound = SWAP_QUOTIENT_BOUNDS[(d, datum[0])]
-    for orbits in (SiteOrbits(window, tuple(range(d))), SiteOrbits(window)):
+    for orbits in (ReflectionOrbits(window, symmetric=True), SiteOrbits(window)):
         loop = orbits.unfold(per_step_loop(u0, cfg, orbits))
         assert max_log_deviation(np.asarray(traj.values), loop) <= bound
 
 
-def symmetrized(vals, orbits):
-    """vals summed over the group of the orbits: each reflection, then every
-    permutation of the swapped axes (one class of them in each group here)."""
-    for k in orbits.folded:
+def symmetrized(vals):
+    """vals summed over the window's full group: each reflection, then every
+    permutation of the axes."""
+    for k in range(vals.ndim):
         vals = vals + np.flip(vals, k)
-    swapped_axes = sorted({k for pair in orbits.swapped for k in pair})
-    if swapped_axes:
-        perms = []
-        for perm in itertools.permutations(swapped_axes):
-            order = list(range(vals.ndim))
-            for src, dst in zip(swapped_axes, perm):
-                order[src] = dst
-            perms.append(order)
-        vals = sum(np.transpose(vals, order) for order in perms)
-    return vals
-
-
-GROUPS = [(1, 6, (0,), ()), (2, 5, (1,), ()), (2, 5, (0, 1), ()), (2, 5, (0, 1), ((0, 1),)),
-          (3, 3, (0, 2), ()), (3, 3, (0, 1, 2), ((0, 2),)),
-          (3, 3, (0, 1, 2), ((0, 1), (1, 2)))]
+    return sum(np.transpose(vals, perm) for perm in itertools.permutations(range(vals.ndim)))
 
 
 def test_folded_laplacian_is_the_window_laplacian_on_even_fields():
     # the quotient matrix applied to the representatives of a field invariant
-    # under the group gives the pointwise window Laplacian there, up to
+    # under the full group gives the pointwise window Laplacian there, up to
     # summation order
     rng = np.random.default_rng(4)
-    for d, M, folded, swapped in GROUPS:
+    for d, M in [(1, 6), (2, 5), (3, 3), (4, 2)]:
         window = LatticeWindow(d, M)
-        orbits = SiteOrbits(window, folded, swapped)
+        orbits = SiteOrbits(window, symmetric=True)
         vals = rng.standard_normal(window.shape) + 1j * rng.standard_normal(window.shape)
-        vals = symmetrized(vals, orbits)
+        vals = symmetrized(vals)
+        vals /= np.max(np.abs(vals))  # the sums grow with the group's order
         # the field is constant on every orbit, up to the summation order of
         # the symmetrization: the orbits are the group's
         assert np.max(np.abs(np.take(orbits.gather(vals), orbits.site_orbit) - vals)) < 1e-13
@@ -703,7 +711,7 @@ def test_quotient_laplacian_entries_are_neighbour_counts():
     # R L S counts, per representative, its neighbours in each orbit: at d = 2
     # under the full group the origin sees its 4 neighbours in one orbit
     window = LatticeWindow(2, 4)
-    orbits = full_group(window)
+    orbits = SiteOrbits(window, symmetric=True)
     lap = quotient_laplacian(orbits).toarray()
     assert set(np.unique(lap)) <= {-4.0, 0.0, 1.0, 2.0, 4.0}
     assert lap[0, 0] == -4.0 and lap[0, orbits.site_orbit[5, 4]] == 4.0
@@ -714,22 +722,20 @@ def test_folded_residual_norm_is_the_window_norm():
     # each quotient site stands for 1, 4 or 8 window sites, so the residual
     # contract bounds the residual of the full-window system
     window = LatticeWindow(2, 6)
-    orbits = full_group(window)
+    orbits = SiteOrbits(window, symmetric=True)
     stepper = Stepper(orbits, Potential.zero(window), 1e-2, (1,))
     rng = np.random.default_rng(5)
     vals = rng.standard_normal(window.shape) + 1j * rng.standard_normal(window.shape)
-    vals = symmetrized(vals, orbits)
+    vals = symmetrized(vals)
     assert stepper._norm(orbits.gather(vals)) == pytest.approx(np.linalg.norm(vals), rel=1e-14)
 
 
-@pytest.mark.parametrize("d, folded", [(2, (0, 1)), (2, (1,)), (3, (0, 1, 2))])
-def test_orbit_weighted_quotient_mass_is_the_window_mass(d, folded):
-    # every pair of folded axes is swapped too
+@pytest.mark.parametrize("d", [2, 3])
+def test_orbit_weighted_quotient_mass_is_the_window_mass(d):
     window = LatticeWindow(d, 7)
-    orbits = SiteOrbits(window, folded, tuple(itertools.combinations(folded, 2)))
-    rng = np.random.default_rng(len(folded) * 10 + d)
-    vals = symmetrized(rng.standard_normal(window.shape) + 1j * rng.standard_normal(window.shape),
-                       orbits)
+    orbits = SiteOrbits(window, symmetric=True)
+    rng = np.random.default_rng(11 * d)
+    vals = symmetrized(rng.standard_normal(window.shape) + 1j * rng.standard_normal(window.shape))
     full = mass_sq(vals, d)
     assert abs(mass_sq(orbits.gather(vals), 1, orbits.sizes) - full) <= (
         10 * np.finfo(float).eps * full)
@@ -805,7 +811,7 @@ def test_values_view_unfolds_what_it_indexes_bit_for_bit(d, M):
     cfg = EvolutionConfig(dt=1e-2, T=0.1, window=window, potential=Potential.alternating(window),
                           store_every=2)
     traj = evolve(make_decaying_datum(window, ("bessel_like", 1.0)), cfg)
-    assert not traj.orbits.trivial  # the even datum folds every axis
+    assert traj.orbits.symmetric  # the radial datum keeps the full group
     full = traj.orbits.unfold(traj.orbit_values)
     view = traj.values
     assert len(view) == traj.n_stored == 6

@@ -195,6 +195,20 @@ def test_norm_star_matches_octant_oracle(d, j_max):
     assert norm_star_equivalence(d, j_max) == octant_oracle(d, j_max)
 
 
+@pytest.mark.parametrize("d, j_max, arg_sup, arg_inf", [
+    (2, 10_000, (1, 0), (10_000, 10_000)),  # normstar's defaults
+    (3, 200, (1, 0, 0), (200, 200, 200)),
+])
+def test_norm_star_extremes_at_the_cli_scales(d, j_max, arg_sup, arg_inf):
+    # too large for the brute-force octant oracle: the sup on the first axis
+    # site, the inf at the diagonal corner, as the scan has always reported
+    out = norm_star_equivalence(d, j_max)
+    assert (out["arg_sup"], out["arg_inf"]) == (arg_sup, arg_inf)
+    r = math.sqrt(d) * j_max
+    assert out["inf_ratio"] == pytest.approx(r * math.log1p(r) / (d * j_max * math.log1p(j_max)),
+                                             rel=1e-12)
+
+
 def test_k_bessel_identity_and_growth():
     out = k_bessel_weight_check(1.0, (5, 10, 20), growth_j=range(20, 201, 10))
     assert out["max_defect"] < 1e-8

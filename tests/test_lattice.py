@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -147,9 +146,10 @@ def test_boundary_mass_diagnostic():
     # the shell is the two outer rings max_k |j_k| in {M-1, M}
     assert boundary_mass_fraction(LatticeField.delta(w, [w.M - 2]).values, trivial) == 0.0
     assert boundary_mass_fraction(LatticeField.delta(w, [1 - w.M]).values, trivial) == 1.0
-    # on the reflection quotient the orbit {M, -M} holds both shell sites
+    # on the reflection quotient, the full group's at d = 1, the orbit {M, -M}
+    # holds both shell sites
     even = LatticeField.delta(w, [w.M]).values + LatticeField.delta(w, [-w.M]).values
-    folded = SiteOrbits(w, (0,))
+    folded = SiteOrbits(w, symmetric=True)
     assert boundary_mass_fraction(folded.gather(even + inner.values), folded) == 2.0 / 3.0
 
 
@@ -190,7 +190,7 @@ def test_potential_sup_norm_exact():
 
 
 def test_log_mass_leaves_the_orbit_values_alone():
-    orbits = SiteOrbits(LatticeWindow(2, 6), (0, 1), ((0, 1),))
+    orbits = SiteOrbits(LatticeWindow(2, 6), symmetric=True)
     rng = np.random.default_rng(4)
     vals = rng.standard_normal((3, orbits.count)) + 1j * rng.standard_normal((3, orbits.count))
     vals[0, :5] = 0.0
@@ -207,16 +207,8 @@ def window_wide_layout(orbits):
     canonical key from np.indices, and np.unique over their flat indices."""
     w = orbits.window
     key = np.indices(w.shape) - w.M
-    for k in orbits.folded:
-        key[k] = np.abs(key[k])
-    classes = [{k} for k in orbits.folded]
-    for k, l in orbits.swapped:
-        a, b = (next(c for c in classes if axis in c) for axis in (k, l))
-        if a is not b:
-            a |= b
-            classes.remove(b)
-    for axes in (sorted(c) for c in classes if len(c) > 1):
-        key[axes] = np.sort(key[axes], axis=0)[::-1]
+    if orbits.symmetric:
+        key = np.sort(np.abs(key), axis=0)[::-1]
     flat = np.ravel_multi_index(tuple(key + w.M), w.shape).ravel()
     representatives, site_orbit = np.unique(flat, return_inverse=True)
     return representatives, site_orbit.reshape(w.shape)
@@ -240,27 +232,16 @@ def window_wide_quotient_laplacian(orbits, representatives, site_orbit):
                          shape=(n, n))
 
 
-def reflection_swap_subgroups(d):
-    """Every (folded, swapped) pair: a set of reflected axes and a set of
-    pairs of them to swap."""
-    for n in range(d + 1):
-        for folded in itertools.combinations(range(d), n):
-            pairs = list(itertools.combinations(folded, 2))
-            for m in range(len(pairs) + 1):
-                for swapped in itertools.combinations(pairs, m):
-                    yield folded, swapped
-
-
 @pytest.mark.parametrize("d, M", [(1, 5), (2, 5), (3, 4), (4, 3)])
 def test_site_orbits_match_the_window_wide_build(d, M):
     from carleman.evolution import quotient_laplacian
 
     window = LatticeWindow(d, M)
     r_sq = window.radius_sq.ravel()
-    for folded, swapped in reflection_swap_subgroups(d):
-        orbits = SiteOrbits(window, folded, swapped)
+    for symmetric in (False, True):
+        orbits = SiteOrbits(window, symmetric)
         representatives, site_orbit = window_wide_layout(orbits)
-        assert np.array_equal(orbits.representatives, representatives), (folded, swapped)
+        assert np.array_equal(orbits.representatives, representatives), symmetric
         assert np.array_equal(orbits.site_orbit, site_orbit)
         assert np.array_equal(orbits.sizes,
                               np.bincount(site_orbit.ravel(), minlength=orbits.count)
@@ -286,7 +267,7 @@ def test_building_site_orbits_stays_at_quotient_size():
     window = LatticeWindow(3, 32)
     tracemalloc.start()
     try:
-        orbits = SiteOrbits(window, (0, 1, 2), ((0, 1), (0, 2), (1, 2)))
+        orbits = SiteOrbits(window, symmetric=True)
         orbits.representatives, orbits.sizes, orbits.radial_bins, orbits.boundary_shell
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -300,7 +281,7 @@ def test_ring_mass_blocks_match_one_block_bit_for_bit(monkeypatch):
     from carleman.evolution import Trajectory
 
     window = LatticeWindow(2, 40)
-    orbits = SiteOrbits(window, (0, 1), ((0, 1),))
+    orbits = SiteOrbits(window, symmetric=True)
     rng = np.random.default_rng(8)
     n_time = 21
     vals = rng.standard_normal((n_time, orbits.count)) + 1j * rng.standard_normal((n_time, orbits.count))

@@ -4,7 +4,6 @@ oracles: every value must agree within 1e-12 in log.  The scans that read
 only orbit representatives are also held to the full-window scans they
 replace (per-snapshot logaddexp over every site), within 1e-14 relative."""
 
-import itertools
 import math
 
 import numpy as np
@@ -260,9 +259,7 @@ def full_window_star_sup_log_rho(traj, mu_grid):
 def invariant_trajectory(window, rng, full_group, n_time=21):
     """A trajectory of random orbit values, under every reflection and axis
     swap when full_group and under the trivial group otherwise."""
-    axes = tuple(range(window.d))
-    orbits = (SiteOrbits(window, axes, tuple(itertools.combinations(axes, 2))) if full_group
-              else SiteOrbits(window))
+    orbits = SiteOrbits(window, full_group)
     orbit_values = random_array((n_time, orbits.count), rng)
     # magnitudes down to e^-370 and a snapshot with one zero orbit
     orbit_values[3, origin_orbit(orbits)] = 0.0
